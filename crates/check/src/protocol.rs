@@ -8,7 +8,7 @@
 //! both *perturbs* delivery (bounded reorderings and a straggler spike)
 //! and *records* every dispatched envelope, then audits the trace:
 //!
-//! * a run that never produces the client's answer is a deadlock
+//! * a run that never produces the certified answer is a deadlock
 //!   ([`crate::lints::DEADLOCK`]);
 //! * two responses on one correlation id is a double reply
 //!   ([`crate::lints::DOUBLE_REPLY`]) — the router hides the second as
@@ -28,21 +28,21 @@ use crate::diag::{Diagnostic, Report};
 use crate::lints;
 use fedoq_core::handlers::{answer_check_requests, answer_target_requests};
 use fedoq_core::{Federation, LookupCache, PipelineConfig, QueryAnswer};
-use fedoq_net::actor::{run_global, run_site, Ctx};
+use fedoq_net::actor::{execute_plan, run_site, Ctx};
 use fedoq_net::msg::{Envelope, LookupReply, Payload, Request, Response, ShipReply};
 use fedoq_net::router::Net;
-use fedoq_net::rpc::{call, RpcConfig};
+use fedoq_net::rpc::RpcConfig;
 use fedoq_net::rt::Runtime;
 use fedoq_net::transport::Transport;
-use fedoq_net::DistributedStrategy;
+use fedoq_net::{DistributedStrategy, Plan};
 use fedoq_object::DbId;
 use fedoq_query::BoundQuery;
-use fedoq_sim::{Phase, Simulation, Site, SystemParams};
+use fedoq_sim::{Simulation, Site, SystemParams};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Virtual time the client lingers after its answer so in-flight
+/// Virtual time a run lingers after its answer so in-flight
 /// deliveries, retries, and stale responses land before the trace is
 /// audited. Must exceed the largest schedule perturbation.
 const DRAIN_US: f64 = 3e7;
@@ -58,27 +58,10 @@ pub struct Event {
     pub to: Site,
     /// Correlation id.
     pub rpc: u64,
-    /// Message kind (`Certify`, `LocalEval`, ...).
+    /// Message kind (`LocalEval`, `ShipObjects`, ...).
     pub kind: &'static str,
     /// `true` for the response half of an RPC.
     pub is_response: bool,
-}
-
-fn payload_kind(payload: &Payload) -> (&'static str, bool) {
-    match payload {
-        Payload::Request(r) => (r.kind(), false),
-        Payload::Response(r) => (
-            match r {
-                Response::Certify(_) => "Certify",
-                Response::LocalEval(_) => "LocalEval",
-                Response::AssistantLookup(_) => "AssistantLookup",
-                Response::ShipObjects(_) => "ShipObjects",
-                Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
-                Response::BatchCertify(_) => "BatchCertify",
-            },
-            true,
-        ),
-    }
 }
 
 /// A deterministic delivery schedule: the i-th dispatched message is
@@ -141,7 +124,7 @@ impl Schedule {
     /// must retry on a fresh correlation id and discard the late reply
     /// as stale instead of mistaking it for the retry's.
     pub fn stragglers() -> Vec<Schedule> {
-        [("straggle-2", 2), ("straggle-5", 5)]
+        [("straggle-1", 1), ("straggle-4", 4)]
             .iter()
             .map(|&(name, at)| Schedule {
                 name,
@@ -181,7 +164,7 @@ impl Transport for TraceTransport {
     fn dispatch(&mut self, env: &Envelope, _now_us: f64) -> Option<f64> {
         let seq = self.seq;
         self.seq += 1;
-        let (kind, is_response) = payload_kind(&env.payload);
+        let (kind, is_response) = env.payload.kind();
         self.events.borrow_mut().push(Event {
             seq,
             from: env.from,
@@ -268,9 +251,6 @@ async fn run_double_reply_site(ctx: Ctx<'_>, db: DbId) {
                 ctx.net
                     .respond(&env, 0, Response::ShipObjects(ShipReply::default()));
             }
-            Request::Certify { .. }
-            | Request::BatchCertify { .. }
-            | Request::HybridCertify { .. } => {}
         }
     }
 }
@@ -278,7 +258,7 @@ async fn run_double_reply_site(ctx: Ctx<'_>, db: DbId) {
 /// Why a protocol run produced no answer.
 #[derive(Debug, Clone)]
 pub enum ProtocolFailure {
-    /// The client never heard back: the protocol stalled (deadlock).
+    /// No answer was ever certified: the protocol stalled (deadlock).
     Stalled(String),
     /// The protocol completed but delivered an execution error (e.g. CA
     /// over a dead site). The messaging itself worked.
@@ -366,7 +346,7 @@ pub fn run_protocol_with_pipeline(
             _ => rt.handle().spawn(run_site(ctx, db.id())),
         }
     }
-    rt.handle().spawn(run_global(Ctx {
+    let global = Ctx {
         fed,
         query,
         net: net.clone(),
@@ -374,40 +354,19 @@ pub fn run_protocol_with_pipeline(
         rpc,
         pipeline,
         cache,
-    }));
-
-    let client_net = net.clone();
+    };
+    let plan = Plan::from(strategy);
     let handle = rt.handle();
     let outcome = rt.run(async move {
-        let cfg = RpcConfig {
-            timeout_us: 1e12,
-            per_byte_us: 0.0,
-            retries: 0,
-            backoff_us: 0.0,
-            backoff_factor: 1.0,
-        };
-        let response = call(
-            &client_net,
-            Site::Global,
-            Site::Global,
-            Request::Certify { strategy },
-            0,
-            Phase::Ship,
-            cfg,
-        )
-        .await;
+        let reply = execute_plan(&global, &plan).await;
         handle.sleep(DRAIN_US).await;
-        response
+        reply
     });
     let answer = match outcome {
         Err(deadlock) => Err(ProtocolFailure::Stalled(deadlock.to_string())),
-        Ok(Err(rpc_err)) => Err(ProtocolFailure::Stalled(rpc_err.to_string())),
-        Ok(Ok(Response::Certify(reply))) => reply
+        Ok(reply) => reply
             .answer
             .map_err(|e| ProtocolFailure::Error(e.to_string())),
-        Ok(Ok(_)) => Err(ProtocolFailure::Error(
-            "mismatched response to Certify".to_owned(),
-        )),
     };
     let trace = events.borrow().clone();
     ProtocolRun {
@@ -428,7 +387,7 @@ pub fn analyze_run(run: &ProtocolRun, reference: Option<&QueryAnswer>, report: &
         report.push(
             Diagnostic::new(
                 lints::DEADLOCK,
-                format!("{tag} the client never received an answer: {why}"),
+                format!("{tag} no answer was ever certified: {why}"),
             )
             .with_hint(
                 "some actor is waiting on a message that can no longer arrive; check every \

@@ -89,6 +89,7 @@ pub use oracle::{oracle_answer, oracle_disjunctive};
 pub use pipeline::PipelineConfig;
 pub use result::{MaybeRow, Provenance, QueryAnswer, ResultRow};
 pub use strategy::{
-    collect_catalog, refresh_catalog, run_adaptive, run_strategy, run_strategy_with_network,
-    run_strategy_with_pipeline, AdaptiveOutcome, ExecutionStrategy,
+    choose_plan, collect_catalog, plan_knobs, refresh_catalog, run_adaptive, run_strategy,
+    run_strategy_with_network, run_strategy_with_pipeline, AdaptiveOutcome, ExecutionStrategy,
+    LedgerMark,
 };

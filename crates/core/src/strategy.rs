@@ -9,7 +9,7 @@ use crate::pipeline::PipelineConfig;
 use crate::result::QueryAnswer;
 use fedoq_plan::{choose, PipelineKnobs, PlanChoice, PlanKind, StatsCatalog};
 use fedoq_query::BoundQuery;
-use fedoq_sim::{NetworkModel, QueryMetrics, Resource, Simulation, SystemParams};
+use fedoq_sim::{NetworkModel, QueryMetrics, Resource, SimTime, Simulation, Site, SystemParams};
 use std::cell::RefCell;
 
 /// A query execution strategy for global queries over missing data.
@@ -184,7 +184,7 @@ pub struct AdaptiveOutcome {
 /// Translates the pipeline configuration into the cost model's tuning
 /// knobs, reading expected cache warmth from the shared cache's observed
 /// hit rate (a cold or absent cache prices as warmth 0).
-fn plan_knobs(pipeline: PipelineConfig, cache: Option<&RefCell<LookupCache>>) -> PipelineKnobs {
+pub fn plan_knobs(pipeline: PipelineConfig, cache: Option<&RefCell<LookupCache>>) -> PipelineKnobs {
     let warmth = match (pipeline.cache, cache) {
         (true, Some(cache)) => cache.borrow().stats().hit_rate(),
         _ => 0.0,
@@ -193,6 +193,68 @@ fn plan_knobs(pipeline: PipelineConfig, cache: Option<&RefCell<LookupCache>>) ->
         threads: pipeline.threads.max(1) as f64,
         warmth,
         batch: pipeline.batch as f64,
+    }
+}
+
+/// Prices CA, BL, PL, and the per-site hybrid for `query` against
+/// `catalog` (re-scanned first if stale) under `pipeline`'s
+/// [`plan_knobs`]. Every adaptive executor plans through this helper.
+pub fn choose_plan(
+    fed: &Federation,
+    query: &BoundQuery,
+    catalog: &mut StatsCatalog,
+    pipeline: PipelineConfig,
+    cache: Option<&RefCell<LookupCache>>,
+) -> PlanChoice {
+    refresh_catalog(catalog, fed);
+    let knobs = plan_knobs(pipeline, cache);
+    let fingerprint = query_fingerprint(query);
+    choose(
+        catalog,
+        fed.global_schema(),
+        query,
+        &knobs,
+        fingerprint,
+        true,
+    )
+}
+
+/// A reading of a simulation's ledger taken before a plan runs, so the
+/// plan's feedback is this run's slice alone even when the simulation
+/// is shared across runs.
+#[derive(Debug, Clone, Copy)]
+pub struct LedgerMark {
+    response: SimTime,
+    net: SimTime,
+    bytes: u64,
+}
+
+impl LedgerMark {
+    /// Reads the global clock, the network busy time, and the bytes
+    /// transferred so far.
+    pub fn take(sim: &Simulation) -> LedgerMark {
+        LedgerMark {
+            response: sim.now(Site::Global),
+            net: sim.ledger().total_for_resource(Resource::Net),
+            bytes: sim.metrics().bytes_transferred,
+        }
+    }
+
+    /// Feeds what `sim` measured since the mark back into `catalog`: the
+    /// response time for `(fingerprint, plan)`, and the link's observed
+    /// price per byte.
+    pub fn observe(
+        self,
+        catalog: &mut StatsCatalog,
+        fingerprint: u64,
+        plan: &str,
+        sim: &Simulation,
+    ) {
+        let response = sim.now(Site::Global) - self.response;
+        catalog.observe_response(fingerprint, plan, response.as_micros());
+        let net_busy = sim.ledger().total_for_resource(Resource::Net) - self.net;
+        let bytes = sim.metrics().bytes_transferred.saturating_sub(self.bytes);
+        catalog.observe_net(bytes, net_busy.as_micros());
     }
 }
 
@@ -216,17 +278,7 @@ pub fn run_adaptive(
     pipeline: PipelineConfig,
     cache: Option<&RefCell<LookupCache>>,
 ) -> Result<AdaptiveOutcome, ExecError> {
-    refresh_catalog(catalog, fed);
-    let fingerprint = query_fingerprint(query);
-    let knobs = plan_knobs(pipeline, cache);
-    let choice = choose(
-        catalog,
-        fed.global_schema(),
-        query,
-        &knobs,
-        fingerprint,
-        true,
-    );
+    let choice = choose_plan(fed, query, catalog, pipeline, cache);
     let best = choice.best();
     let executed = best.kind;
     let strategy: Box<dyn ExecutionStrategy> = match executed {
@@ -242,14 +294,10 @@ pub fn run_adaptive(
     }
     let params = *catalog.params();
     let mut sim = Simulation::with_network(params, fed.num_dbs(), NetworkModel::SharedBus);
+    let mark = LedgerMark::take(&sim);
     let answer = strategy.execute_with(fed, query, &mut sim, pipeline, cache)?;
+    mark.observe(catalog, choice.fingerprint, executed.label(), &sim);
     let metrics = sim.metrics();
-
-    // Feedback: the measured response time for this (query, plan), and
-    // the link's observed price per byte from the simulation ledger.
-    catalog.observe_response(fingerprint, executed.label(), metrics.response_us);
-    let net_busy = sim.ledger().total_for_resource(Resource::Net).as_micros();
-    catalog.observe_net(metrics.bytes_transferred, net_busy);
 
     Ok(AdaptiveOutcome {
         answer,

@@ -1,11 +1,12 @@
 //! Site actors: each component database as a message-serving process.
 //!
-//! [`run_site`] is one component site's event loop; [`run_global`] is the
-//! global (federation) site's. The actors reuse the *exact* computation
-//! of the in-process strategies via [`fedoq_core::handlers`], so their
-//! certain/maybe answers match the sync strategies bit for bit when the
-//! network is healthy — messaging changes *how* the work moves between
-//! sites, never what is computed.
+//! [`run_site`] is one component site's event loop; [`execute_plan`] is
+//! the global (federation) site's orchestration of one query, awaited
+//! directly by whoever runs the query. The actors reuse the *exact*
+//! computation of the in-process strategies via [`fedoq_core::handlers`],
+//! so their certain/maybe answers match the sync strategies bit for bit
+//! when the network is healthy — messaging changes *how* the work moves
+//! between sites, never what is computed.
 //!
 //! # Graceful degradation
 //!
@@ -30,10 +31,8 @@
 //! paper's cost model cannot show — localization buys availability, not
 //! just response time.
 
-use crate::exec::DistributedStrategy;
-use crate::msg::{
-    CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
-};
+use crate::msg::{Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply};
+use crate::plan::{Plan, SiteModes};
 use crate::router::Net;
 use crate::rpc::{call, RpcConfig, RpcError};
 use crate::rt::join_all;
@@ -44,7 +43,9 @@ use fedoq_core::handlers::{
     target_reply_message_bytes, CheckRequest, CheckVerdict, LocalizedConfig, LocalizedMerge,
     LocalizedMode, TargetRequest,
 };
-use fedoq_core::{query_fingerprint, ExecError, Federation, LookupCache, PipelineConfig};
+use fedoq_core::{
+    query_fingerprint, ExecError, Federation, LookupCache, PipelineConfig, QueryAnswer,
+};
 use fedoq_object::{DbId, LOid, Value};
 use fedoq_query::{plan_for_db, BoundQuery, PredId};
 use fedoq_sim::{Phase, Simulation, Site};
@@ -207,8 +208,6 @@ pub async fn serve_site_request<'a>(ctx: Ctx<'a>, db: DbId, env: Envelope) {
             ctx.net
                 .respond(&env, bytes, Response::ShipObjects(ShipReply { bytes }));
         }
-        // Certification is the global actor's job; ignore it here.
-        Request::Certify { .. } | Request::BatchCertify { .. } | Request::HybridCertify { .. } => {}
     }
 }
 
@@ -542,92 +541,27 @@ async fn batched_peer_lookup(
     result
 }
 
-/// Which localized schedule each hosting site runs.
+/// Final result of one distributed query execution.
+#[derive(Debug, Clone)]
+pub struct CertifyReply {
+    /// The certified answer, or the error that stopped execution.
+    pub answer: Result<QueryAnswer, ExecError>,
+    /// Sites that stayed unreachable past the retry budget.
+    pub degraded_sites: Vec<DbId>,
+    /// Total RPC retries performed while executing.
+    pub retries: u64,
+}
+
+/// The global site's orchestration: runs `plan` end to end over the
+/// component actors and certifies the answer.
 ///
-/// The paper's BL and PL assign one schedule to every site; the per-site
-/// hybrid (`HY`) lets the planner assign each site its own. Execution is
-/// identical plumbing either way — the schedule only decides each site's
-/// `LocalEval` `parallel` flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SiteSchedule {
-    /// Every hosting site runs the same schedule (`false` = BL's,
-    /// `true` = PL's).
-    Uniform(bool),
-    /// The listed sites run PL's schedule; every other hosting site runs
-    /// BL's.
-    ParallelAt(Vec<DbId>),
-}
-
-impl SiteSchedule {
-    /// Does `db` run PL's static-prefetch schedule?
-    pub fn parallel_at(&self, db: DbId) -> bool {
-        match self {
-            SiteSchedule::Uniform(parallel) => *parallel,
-            SiteSchedule::ParallelAt(sites) => sites.contains(&db),
-        }
-    }
-}
-
-/// Event loop of the global site: serves `Certify`, `HybridCertify`, and
-/// `BatchCertify` requests by orchestrating the chosen plan over the
-/// component actors.
-///
-/// Each certification request is spawned as its own task, so several
-/// in-flight queries (the concurrent scheduler's normal regime) make
-/// progress through one global actor instead of queueing head-of-line.
-pub async fn run_global(ctx: Ctx<'_>) {
-    loop {
-        let env = ctx.net.recv(Site::Global).await;
-        let Payload::Request(_) = env.payload else {
-            continue;
-        };
-        let rt = ctx.net.rt().clone();
-        rt.spawn(serve_global_request(ctx.clone(), env));
-    }
-}
-
-/// Serves one request addressed to the global actor and sends its
-/// response. Factored out of [`run_global`] so each certification can run
-/// as its own task.
-async fn serve_global_request<'a>(ctx: Ctx<'a>, env: Envelope) {
-    let Payload::Request(ref request) = env.payload else {
-        return;
-    };
-    match request.clone() {
-        Request::Certify { strategy } => {
-            let reply = orchestrate(&ctx, strategy).await;
-            ctx.net.respond(&env, 0, Response::Certify(Box::new(reply)));
-        }
-        Request::HybridCertify {
-            parallel_sites,
-            config,
-        } => {
-            let schedule = SiteSchedule::ParallelAt(parallel_sites);
-            let reply = orchestrate_localized(&ctx, &schedule, config).await;
-            ctx.net.respond(&env, 0, Response::Certify(Box::new(reply)));
-        }
-        // Coalesced executions: one round-trip, answered in order.
-        Request::BatchCertify { strategies } => {
-            let mut replies = Vec::with_capacity(strategies.len());
-            for strategy in strategies {
-                replies.push(orchestrate(&ctx, strategy).await);
-            }
-            ctx.net.respond(&env, 0, Response::BatchCertify(replies));
-        }
-        _ => {}
-    }
-}
-
-/// Runs one query end to end over the component actors.
-async fn orchestrate(ctx: &Ctx<'_>, strategy: DistributedStrategy) -> CertifyReply {
-    match strategy {
-        DistributedStrategy::Centralized => orchestrate_centralized(ctx).await,
-        DistributedStrategy::BasicLocalized(config) => {
-            orchestrate_localized(ctx, &SiteSchedule::Uniform(false), config).await
-        }
-        DistributedStrategy::ParallelLocalized(config) => {
-            orchestrate_localized(ctx, &SiteSchedule::Uniform(true), config).await
-        }
+/// Callers await it directly on the runtime that hosts the site actors
+/// (or, over a real wire, the transport that reaches them); the global
+/// site never receives a message of its own.
+pub async fn execute_plan(ctx: &Ctx<'_>, plan: &Plan) -> CertifyReply {
+    match plan {
+        Plan::Central => orchestrate_centralized(ctx).await,
+        Plan::Localized { modes, config } => orchestrate_localized(ctx, modes, *config).await,
     }
 }
 
@@ -714,11 +648,11 @@ async fn orchestrate_centralized(ctx: &Ctx<'_>) -> CertifyReply {
 }
 
 /// BL/PL/HY over the runtime: fan `LocalEval` out to every hosting site
-/// (each with its schedule's `parallel` flag), merge the replies through
+/// (each with its mode's `parallel` flag), merge the replies through
 /// [`LocalizedMerge`], certify, and tag degraded maybe results.
 async fn orchestrate_localized(
     ctx: &Ctx<'_>,
-    schedule: &SiteSchedule,
+    modes: &SiteModes,
     config: LocalizedConfig,
 ) -> CertifyReply {
     let schema = ctx.fed.global_schema();
@@ -736,7 +670,7 @@ async fn orchestrate_localized(
         .map(|&site| {
             let net = ctx.net.clone();
             let request = Request::LocalEval {
-                parallel: schedule.parallel_at(site),
+                parallel: modes.parallel_at(site),
                 use_signatures: config.use_signatures,
                 complete_targets: config.complete_targets,
             };

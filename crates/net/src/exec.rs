@@ -1,26 +1,26 @@
 //! The distributed executor: strategies over the actor runtime.
 //!
-//! [`DistributedExecutor::run`] spins up one actor per component site
-//! plus the global actor on the deterministic runtime, sends a single
-//! `Certify` request as the client, and drives the virtual clock until
-//! the answer comes back. The result carries the answer together with
-//! the degradation and cost diagnostics of the run.
+//! [`DistributedExecutor::run`] spins up one actor per component site on
+//! the deterministic runtime, runs the global site's orchestration of a
+//! [`Plan`] as the runtime's main task, and drives the virtual clock
+//! until the answer is certified. The result carries the answer together
+//! with the degradation and cost diagnostics of the run.
 
-use crate::actor::{run_global, run_site, Ctx};
-use crate::msg::{Request, Response};
+use crate::actor::{execute_plan, run_site, Ctx};
+use crate::plan::Plan;
 use crate::router::Net;
-use crate::rpc::{call, RpcConfig};
+use crate::rpc::RpcConfig;
 use crate::rt::Runtime;
 use crate::transport::{LocalTransport, Transport};
 use fedoq_core::handlers::LocalizedConfig;
 use fedoq_core::{
-    query_fingerprint, refresh_catalog, BasicLocalized, CacheStats, Centralized, ExecError,
-    ExecutionStrategy, Federation, LookupCache, ParallelLocalized, PipelineConfig, QueryAnswer,
+    choose_plan, BasicLocalized, CacheStats, Centralized, ExecError, ExecutionStrategy, Federation,
+    LedgerMark, LookupCache, ParallelLocalized, PipelineConfig, QueryAnswer,
 };
 use fedoq_object::DbId;
-use fedoq_plan::{choose, PipelineKnobs, PlanChoice, PlanKind, StatsCatalog};
+use fedoq_plan::{PlanChoice, PlanKind, StatsCatalog};
 use fedoq_query::BoundQuery;
-use fedoq_sim::{Phase, QueryMetrics, Resource, Simulation, Site, SystemParams};
+use fedoq_sim::{QueryMetrics, Simulation, SystemParams};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -204,175 +204,41 @@ impl DistributedExecutor {
         self.cache.borrow_mut().reset();
     }
 
-    /// Executes `query` with `strategy` over `transport`, charging
-    /// `sim`'s ledger for every disk/CPU/network action.
+    /// Executes `query` under `plan` (a [`Plan`], or a
+    /// [`DistributedStrategy`]) over `transport`, charging `sim`'s ledger
+    /// for every disk/CPU/network action.
+    ///
+    /// # Errors
+    ///
+    /// CA's [`ExecError::Unreachable`] when a site's extent cannot be
+    /// shipped, and [`ExecError::Internal`] when the runtime deadlocks.
     pub fn run(
         &self,
         fed: &Federation,
         query: &BoundQuery,
-        strategy: DistributedStrategy,
+        plan: impl Into<Plan>,
         transport: Rc<RefCell<dyn Transport>>,
         sim: Rc<RefCell<Simulation>>,
     ) -> Result<DistributedOutcome, ExecError> {
-        let response = self.drive(fed, query, Request::Certify { strategy }, &transport, &sim)?;
-        let (Response::Certify(reply), virtual_us) = response else {
-            return Err(ExecError::Internal("mismatched response to Certify".into()));
-        };
-        let (delivered, dropped) = transport.borrow().stats();
-        Ok(DistributedOutcome {
-            answer: reply.answer?,
-            degraded_sites: reply.degraded_sites,
-            retries: reply.retries,
-            delivered,
-            dropped,
-            metrics: sim.borrow().metrics(),
-            virtual_us,
-        })
-    }
-
-    /// Executes several strategies over the same query in one client
-    /// round-trip (`BatchCertify`), in order, over one shared runtime.
-    ///
-    /// The transport stats, cost-model metrics, and virtual clock are
-    /// those of the *whole batch* — the jobs share the simulation — so
-    /// every returned outcome carries the same totals. Any job's
-    /// execution error fails the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](DistributedExecutor::run), for any job.
-    pub fn run_batch(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        strategies: &[DistributedStrategy],
-        transport: Rc<RefCell<dyn Transport>>,
-        sim: Rc<RefCell<Simulation>>,
-    ) -> Result<Vec<DistributedOutcome>, ExecError> {
-        let request = Request::BatchCertify {
-            strategies: strategies.to_vec(),
-        };
-        let response = self.drive(fed, query, request, &transport, &sim)?;
-        let (Response::BatchCertify(replies), virtual_us) = response else {
-            return Err(ExecError::Internal(
-                "mismatched response to BatchCertify".into(),
-            ));
-        };
-        let (delivered, dropped) = transport.borrow().stats();
-        let metrics = sim.borrow().metrics();
-        replies
-            .into_iter()
-            .map(|reply| {
-                Ok(DistributedOutcome {
-                    answer: reply.answer?,
-                    degraded_sites: reply.degraded_sites,
-                    retries: reply.retries,
-                    delivered,
-                    dropped,
-                    metrics,
-                    virtual_us,
-                })
-            })
-            .collect()
-    }
-
-    /// Spins up the actors, sends one client request to the global
-    /// actor, and drives the runtime until its response arrives.
-    fn drive(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        request: Request,
-        transport: &Rc<RefCell<dyn Transport>>,
-        sim: &Rc<RefCell<Simulation>>,
-    ) -> Result<(Response, f64), ExecError> {
+        let plan = plan.into();
         // A store mutation since the last run flushes the cache.
         self.cache.borrow_mut().sync_generation(fed.generation());
-        let cache = if self.pipeline.cache {
-            Some(Rc::clone(&self.cache))
-        } else {
-            None
-        };
         let rt = Runtime::new();
-        let net = Net::new(rt.handle(), Rc::clone(transport), fed.num_dbs());
-        for db in fed.dbs() {
-            let ctx = Ctx {
-                fed,
-                query,
-                net: net.clone(),
-                sim: Rc::clone(sim),
-                rpc: self.rpc,
-                pipeline: self.pipeline,
-                cache: cache.clone(),
-            };
-            rt.handle().spawn(run_site(ctx, db.id()));
-        }
-        rt.handle().spawn(run_global(Ctx {
+        let ctx = Ctx {
             fed,
             query,
-            net: net.clone(),
-            sim: Rc::clone(sim),
+            net: Net::new(rt.handle(), Rc::clone(&transport), fed.num_dbs()),
+            sim: Rc::clone(&sim),
             rpc: self.rpc,
             pipeline: self.pipeline,
-            cache,
-        }));
-
-        // The client: one RPC to the global actor. It must not time out
-        // on its own — end-to-end patience is the point — so it gets an
-        // effectively unbounded window and no retries.
-        let client_net = net.clone();
-        let response = rt
-            .run(async move {
-                let cfg = RpcConfig {
-                    timeout_us: 1e15,
-                    per_byte_us: 0.0,
-                    retries: 0,
-                    backoff_us: 0.0,
-                    backoff_factor: 1.0,
-                };
-                call(
-                    &client_net,
-                    Site::Global,
-                    Site::Global,
-                    request,
-                    0,
-                    Phase::Ship,
-                    cfg,
-                )
-                .await
-            })
-            .map_err(|deadlock| ExecError::Internal(deadlock.to_string()))?
-            .map_err(|e| ExecError::Internal(format!("global actor lost: {e}")))?;
-        Ok((response, rt.handle().now_us()))
-    }
-
-    /// Executes `query` under a per-site hybrid plan: the listed sites
-    /// run PL's static-prefetch schedule, every other hosting site runs
-    /// BL's. One `HybridCertify` round-trip; the answer is identical to
-    /// BL's and PL's by the strategies' shared invariant.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](DistributedExecutor::run).
-    pub fn run_hybrid(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        parallel_sites: Vec<DbId>,
-        config: LocalizedConfig,
-        transport: Rc<RefCell<dyn Transport>>,
-        sim: Rc<RefCell<Simulation>>,
-    ) -> Result<DistributedOutcome, ExecError> {
-        let request = Request::HybridCertify {
-            parallel_sites,
-            config,
+            cache: self.pipeline.cache.then(|| Rc::clone(&self.cache)),
         };
-        let response = self.drive(fed, query, request, &transport, &sim)?;
-        let (Response::Certify(reply), virtual_us) = response else {
-            return Err(ExecError::Internal(
-                "mismatched response to HybridCertify".into(),
-            ));
-        };
+        for db in fed.dbs() {
+            rt.handle().spawn(run_site(ctx.clone(), db.id()));
+        }
+        let reply = rt
+            .run(async move { execute_plan(&ctx, &plan).await })
+            .map_err(|deadlock| ExecError::Internal(deadlock.to_string()))?;
         let (delivered, dropped) = transport.borrow().stats();
         Ok(DistributedOutcome {
             answer: reply.answer?,
@@ -381,7 +247,7 @@ impl DistributedExecutor {
             delivered,
             dropped,
             metrics: sim.borrow().metrics(),
-            virtual_us,
+            virtual_us: rt.handle().now_us(),
         })
     }
 
@@ -390,11 +256,11 @@ impl DistributedExecutor {
     /// the measured response time and transport cost back into the
     /// catalog.
     ///
-    /// A winning hybrid executes for real: `HybridCertify` carries the
-    /// plan's per-site modes, and each hosting site runs its own BL or PL
-    /// schedule from one non-uniform fan-out. A stale catalog (the
-    /// federation mutated since the last scan) is re-scanned first,
-    /// keeping its accumulated observations.
+    /// A winning hybrid executes for real: each hosting site runs its own
+    /// BL or PL schedule from one non-uniform fan-out. A stale catalog
+    /// (the federation mutated since the last scan) is re-scanned first,
+    /// keeping its accumulated observations. `sim` may be shared across
+    /// runs: the feedback is this run's slice of its ledger only.
     ///
     /// # Errors
     ///
@@ -407,83 +273,16 @@ impl DistributedExecutor {
         transport: Rc<RefCell<dyn Transport>>,
         sim: Rc<RefCell<Simulation>>,
     ) -> Result<AdaptiveDistributedOutcome, ExecError> {
-        refresh_catalog(catalog, fed);
-        let fingerprint = query_fingerprint(query);
-        let warmth = if self.pipeline.cache {
-            self.cache.borrow().stats().hit_rate()
-        } else {
-            0.0
-        };
-        let knobs = PipelineKnobs {
-            threads: self.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: self.pipeline.batch as f64,
-        };
-        let choice = choose(
-            catalog,
-            fed.global_schema(),
-            query,
-            &knobs,
-            fingerprint,
-            true,
-        );
-        let best = choice.best();
-        let executed = best.kind;
-        let before_net = sim.borrow().ledger().total_for_resource(Resource::Net);
-        let before_bytes = sim.borrow().metrics().bytes_transferred;
-        let outcome = match executed {
-            PlanKind::Centralized => self.run(
-                fed,
-                query,
-                DistributedStrategy::ca(),
-                transport,
-                Rc::clone(&sim),
-            )?,
-            PlanKind::BasicLocalized => self.run(
-                fed,
-                query,
-                DistributedStrategy::bl(),
-                transport,
-                Rc::clone(&sim),
-            )?,
-            PlanKind::ParallelLocalized => self.run(
-                fed,
-                query,
-                DistributedStrategy::pl(),
-                transport,
-                Rc::clone(&sim),
-            )?,
-            PlanKind::Hybrid => {
-                let parallel_sites: Vec<DbId> = best
-                    .modes
-                    .iter()
-                    .filter(|m| m.parallel)
-                    .map(|m| m.db)
-                    .collect();
-                self.run_hybrid(
-                    fed,
-                    query,
-                    parallel_sites,
-                    LocalizedConfig::default(),
-                    transport,
-                    Rc::clone(&sim),
-                )?
-            }
-        };
-        catalog.observe_response(fingerprint, executed.label(), outcome.metrics.response_us);
-        // The sim may be shared across runs: feed back only this run's
-        // slice of the wire traffic.
-        let net_busy =
-            (sim.borrow().ledger().total_for_resource(Resource::Net) - before_net).as_micros();
-        let bytes = outcome
-            .metrics
-            .bytes_transferred
-            .saturating_sub(before_bytes);
-        catalog.observe_net(bytes, net_busy);
+        let choice = choose_plan(fed, query, catalog, self.pipeline, Some(&self.cache));
+        let plan = Plan::from(choice.best());
+        let mark = LedgerMark::take(&sim.borrow());
+        let label = plan.label();
+        let outcome = self.run(fed, query, plan, transport, Rc::clone(&sim))?;
+        mark.observe(catalog, choice.fingerprint, label, &sim.borrow());
         Ok(AdaptiveDistributedOutcome {
             outcome,
+            executed: choice.best().kind,
             choice,
-            executed,
         })
     }
 
@@ -507,8 +306,20 @@ impl DistributedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SiteModes;
     use fedoq_core::collect_catalog;
     use fedoq_workload::university;
+
+    fn fresh_sim(fed: &Federation) -> Rc<RefCell<Simulation>> {
+        Rc::new(RefCell::new(Simulation::new(
+            SystemParams::paper_default(),
+            fed.num_dbs(),
+        )))
+    }
+
+    fn local() -> Rc<RefCell<dyn Transport>> {
+        Rc::new(RefCell::new(LocalTransport::new()))
+    }
 
     #[test]
     fn adaptive_distributed_run_plans_executes_and_learns() {
@@ -551,20 +362,12 @@ mod tests {
         let exec = DistributedExecutor::new();
         // Site 1 runs PL's schedule, everyone else BL's; the answer must
         // classify like a uniform run (the strategies' shared invariant).
-        let sim = Rc::new(RefCell::new(Simulation::new(
-            SystemParams::paper_default(),
-            fed.num_dbs(),
-        )));
-        let transport: Rc<RefCell<dyn Transport>> = Rc::new(RefCell::new(LocalTransport::new()));
+        let plan = Plan::Localized {
+            modes: SiteModes::Hybrid(vec![DbId::new(1)]),
+            config: LocalizedConfig::default(),
+        };
         let hybrid = exec
-            .run_hybrid(
-                &fed,
-                &query,
-                vec![DbId::new(1)],
-                LocalizedConfig::default(),
-                transport,
-                sim,
-            )
+            .run(&fed, &query, plan, local(), fresh_sim(&fed))
             .unwrap();
         let uniform = exec
             .run_local(&fed, &query, DistributedStrategy::bl())
@@ -575,5 +378,36 @@ mod tests {
             format!("{}", uniform.answer),
             "hybrid row order and provenance must match the uniform run"
         );
+    }
+
+    #[test]
+    fn adaptive_feedback_on_a_shared_sim_is_this_runs_slice() {
+        let fed = university::federation().unwrap();
+        let query = fed.parse_and_bind(university::Q1).unwrap();
+        let exec = DistributedExecutor::new();
+        let shared = fresh_sim(&fed);
+        let mut warmup = collect_catalog(&fed, SystemParams::paper_default());
+        exec.run_adaptive(&fed, &query, &mut warmup, local(), Rc::clone(&shared))
+            .unwrap();
+        assert!(shared.borrow().metrics().response_us > 0.0);
+
+        // The second run on the same sim, observed by a fresh catalog.
+        let mut catalog = collect_catalog(&fed, SystemParams::paper_default());
+        let second = exec
+            .run_adaptive(&fed, &query, &mut catalog, local(), shared)
+            .unwrap();
+        let (observed, _) = catalog
+            .observed_response(second.choice.fingerprint, second.executed.label())
+            .unwrap();
+        let alone = exec
+            .run(
+                &fed,
+                &query,
+                Plan::from(second.choice.best()),
+                local(),
+                fresh_sim(&fed),
+            )
+            .unwrap();
+        assert_eq!(observed, alone.metrics.response_us);
     }
 }

@@ -8,8 +8,10 @@
 //! * [`rt`] — a deterministic single-threaded async executor with a
 //!   virtual clock: tasks interleave in FIFO order and time jumps to the
 //!   next timer, so a run is a pure function of its inputs and seed;
-//! * [`msg`] — the typed protocol (`Certify`, `LocalEval`,
-//!   `AssistantLookup`, `ShipObjects`) with per-message wire sizes;
+//! * [`msg`] — the typed site protocol (`LocalEval`, `AssistantLookup`,
+//!   `BatchAssistantLookup`, `ShipObjects`) with per-message wire sizes;
+//! * [`plan`] — [`Plan`], what one execution runs: CA, or BL/PL/HY as
+//!   per-site localized modes;
 //! * [`transport`] — message fate: [`transport::LocalTransport`] delivers
 //!   instantly, [`transport::SimTransport`] adds per-link latency and
 //!   seeded fault injection (drops, site crashes, partitions, heals)
@@ -17,8 +19,8 @@
 //! * [`router`] — mailboxes and RPC correlation on top of a transport;
 //! * [`rpc`] — per-request timeouts and bounded exponential-backoff
 //!   retry;
-//! * [`actor`] — the site and global event loops, built from
-//!   [`fedoq_core::handlers`];
+//! * [`actor`] — the site event loop and the global site's
+//!   [`actor::execute_plan`], built from [`fedoq_core::handlers`];
 //! * [`exec`] — [`DistributedExecutor`], the one-call entry point.
 //!
 //! Under a healthy network the distributed answers are bit-identical to
@@ -65,15 +67,16 @@
 pub mod actor;
 pub mod exec;
 pub mod msg;
+pub mod plan;
 pub mod router;
 pub mod rpc;
 pub mod rt;
 pub mod transport;
 
-pub use actor::SiteSchedule;
 pub use exec::{
     AdaptiveDistributedOutcome, DistributedExecutor, DistributedOutcome, DistributedStrategy,
 };
+pub use plan::{Plan, SiteModes};
 pub use rpc::{RpcConfig, RpcError};
 pub use rt::{IdleStep, Runtime};
 pub use transport::{FaultEvent, LocalTransport, SimTransport, Transport};

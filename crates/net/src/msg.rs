@@ -2,11 +2,10 @@
 //!
 //! Every message travels inside an [`Envelope`] carrying its routing
 //! information, its simulated wire size, and the execution phase its
-//! transfer is charged to. Four request kinds cover the paper's three
-//! strategies:
+//! transfer is charged to. As in the paper, messages flow only between
+//! the global site and the component sites, and between component
+//! sites. Three request kinds cover the paper's three strategies:
 //!
-//! * [`Request::Certify`] — client → global actor: run one query end to
-//!   end and return the certified answer;
 //! * [`Request::LocalEval`] — global → component site: evaluate your local
 //!   query (BL/PL); the response carries the site's local rows plus the
 //!   assistant verdicts it gathered from its peers;
@@ -15,20 +14,17 @@
 //! * [`Request::ShipObjects`] — global → component site: ship your
 //!   projected extents (CA).
 //!
-//! Two further kinds support the batched pipeline
-//! ([`fedoq_core::PipelineConfig`]):
+//! A fourth supports the batched pipeline ([`fedoq_core::PipelineConfig`]):
+//! [`Request::BatchAssistantLookup`] — site → site: an assistant-lookup
+//! *fragment* coalescing up to K GOid probes into one round-trip. Unlike
+//! the legacy all-probes-in-one `AssistantLookup`, a failed fragment is
+//! split in half and each half retried on a fresh correlation id, so a
+//! transient drop costs one fragment rather than the whole wave.
 //!
-//! * [`Request::BatchAssistantLookup`] — site → site: an assistant-lookup
-//!   *fragment* coalescing up to K GOid probes into one round-trip. Unlike
-//!   the legacy all-probes-in-one `AssistantLookup`, a failed fragment is
-//!   split in half and each half retried on a fresh correlation id, so a
-//!   transient drop costs one fragment rather than the whole wave;
-//! * [`Request::BatchCertify`] — client → global actor: several strategy
-//!   executions coalesced into one client round-trip, answered together.
+//! The global site's own work is no message: callers run a query by
+//! awaiting [`crate::actor::execute_plan`].
 
-use crate::exec::DistributedStrategy;
-use fedoq_core::handlers::{CheckRequest, CheckVerdict, LocalRow, LocalizedConfig, TargetRequest};
-use fedoq_core::{ExecError, QueryAnswer};
+use fedoq_core::handlers::{CheckRequest, CheckVerdict, LocalRow, TargetRequest};
 use fedoq_object::{DbId, LOid, Value};
 use fedoq_query::PredId;
 use fedoq_sim::{Phase, Site};
@@ -59,14 +55,19 @@ pub enum Payload {
     Response(Response),
 }
 
+impl Payload {
+    /// The message's short wire tag, and whether it is a response.
+    pub fn kind(&self) -> (&'static str, bool) {
+        match self {
+            Payload::Request(request) => (request.kind(), false),
+            Payload::Response(response) => (response.kind(), true),
+        }
+    }
+}
+
 /// A request served by a site actor.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Run one query end to end (client → global actor).
-    Certify {
-        /// Which strategy drives the execution.
-        strategy: DistributedStrategy,
-    },
     /// Evaluate the local query at a component site (BL/PL).
     LocalEval {
         /// `true` for PL (static assistant lookup before evaluation).
@@ -93,36 +94,16 @@ pub enum Request {
         /// Target-value fetches coalesced into this fragment.
         targets: Vec<TargetRequest>,
     },
-    /// Run several strategies over the same query in one client
-    /// round-trip (client → global actor).
-    BatchCertify {
-        /// The strategies to execute, answered in order.
-        strategies: Vec<DistributedStrategy>,
-    },
-    /// Run one query under a per-site hybrid plan (client → global
-    /// actor): the listed sites execute PL's static-prefetch schedule,
-    /// every other hosting site executes BL's. Answered with
-    /// [`Response::Certify`] — the hybrid is a localized execution with
-    /// non-uniform per-site modes, not a new protocol.
-    HybridCertify {
-        /// Sites running PL's schedule; the rest run BL's.
-        parallel_sites: Vec<DbId>,
-        /// Signature pruning / target completion options.
-        config: LocalizedConfig,
-    },
 }
 
 impl Request {
     /// Short wire tag (diagnostics).
     pub fn kind(&self) -> &'static str {
         match self {
-            Request::Certify { .. } => "Certify",
             Request::LocalEval { .. } => "LocalEval",
             Request::AssistantLookup { .. } => "AssistantLookup",
             Request::ShipObjects => "ShipObjects",
             Request::BatchAssistantLookup { .. } => "BatchAssistantLookup",
-            Request::BatchCertify { .. } => "BatchCertify",
-            Request::HybridCertify { .. } => "HybridCertify",
         }
     }
 }
@@ -130,8 +111,6 @@ impl Request {
 /// A response to one [`Request`].
 #[derive(Debug, Clone)]
 pub enum Response {
-    /// The certified answer (global actor → client).
-    Certify(Box<CertifyReply>),
     /// A site's local evaluation results.
     LocalEval(Box<LocalEvalReply>),
     /// Verdicts and values for an assistant lookup.
@@ -140,19 +119,18 @@ pub enum Response {
     ShipObjects(ShipReply),
     /// Verdicts and values for one batched-lookup fragment.
     BatchAssistantLookup(LookupReply),
-    /// One certified answer per strategy of a [`Request::BatchCertify`].
-    BatchCertify(Vec<CertifyReply>),
 }
 
-/// Final result of one distributed query execution.
-#[derive(Debug, Clone)]
-pub struct CertifyReply {
-    /// The certified answer, or the error that stopped execution.
-    pub answer: Result<QueryAnswer, ExecError>,
-    /// Sites that stayed unreachable past the retry budget.
-    pub degraded_sites: Vec<DbId>,
-    /// Total RPC retries performed while executing.
-    pub retries: u64,
+impl Response {
+    /// Short wire tag of the request this answers (diagnostics).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Response::LocalEval(_) => "LocalEval",
+            Response::AssistantLookup(_) => "AssistantLookup",
+            Response::ShipObjects(_) => "ShipObjects",
+            Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
+        }
+    }
 }
 
 /// One component site's contribution to a localized execution.

@@ -37,17 +37,17 @@ use crate::gate::{Admission, DrrGate};
 use crate::trace::{DispatchTrace, ReplanEvent, TraceEvent};
 use fedoq_core::handlers::{centralized_answer_with, ship_plan, LocalizedConfig, LocalizedMerge};
 use fedoq_core::{
-    collect_catalog, query_fingerprint, ExecError, Federation, LookupCache, PipelineConfig,
-    QueryAnswer,
+    choose_plan, collect_catalog, plan_knobs, query_fingerprint, ExecError, Federation,
+    LookupCache, PipelineConfig, QueryAnswer,
 };
 use fedoq_net::actor::{run_site, Ctx, FANOUT_TIMEOUT_SCALE};
 use fedoq_net::msg::{Request, Response};
 use fedoq_net::router::Net;
 use fedoq_net::rpc::call;
 use fedoq_net::rt::{join_all, timeout, Runtime};
-use fedoq_net::{DistributedStrategy, RpcConfig, Transport};
+use fedoq_net::{DistributedStrategy, Plan, RpcConfig, SiteModes, Transport};
 use fedoq_object::DbId;
-use fedoq_plan::{choose, replan, PipelineKnobs, PlanKind, StatsCatalog};
+use fedoq_plan::{replan, StatsCatalog};
 use fedoq_query::{plan_for_db, BoundQuery};
 use fedoq_sim::{Phase, Simulation, Site};
 use std::cell::{Cell, RefCell};
@@ -301,19 +301,6 @@ impl<'a> QueryCtx<'a> {
     fn now(&self) -> f64 {
         self.net.rt().now_us()
     }
-
-    fn knobs(&self) -> PipelineKnobs {
-        let warmth = if self.cfg.pipeline.cache {
-            self.cache.borrow().stats().hit_rate()
-        } else {
-            0.0
-        };
-        PipelineKnobs {
-            threads: self.cfg.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: self.cfg.pipeline.batch as f64,
-        }
-    }
 }
 
 type BodyResult = Result<(QueryAnswer, Vec<DbId>, bool), String>;
@@ -480,7 +467,7 @@ async fn monitor_stragglers<'a>(
                 &catalog,
                 qc.fed.global_schema(),
                 qc.query,
-                &qc.knobs(),
+                &plan_knobs(qc.cfg.pipeline, Some(&qc.cache)),
                 &unfinished,
             )
         };
@@ -533,11 +520,11 @@ async fn monitor_stragglers<'a>(
 /// schedule) and certifies the merged replies.
 async fn run_localized<'a>(
     qc: QueryCtx<'a>,
-    modes: Vec<(DbId, bool)>,
+    modes: SiteModes,
     config: LocalizedConfig,
     monitor: bool,
 ) -> BodyResult {
-    let hosting: Rc<Vec<DbId>> = Rc::new(modes.iter().map(|(s, _)| *s).collect());
+    let hosting: Rc<Vec<DbId>> = Rc::new(hosting_sites(qc.fed, qc.query));
     let board = Rc::new(RefCell::new(Board {
         merge: LocalizedMerge::new(),
         states: hosting.iter().map(|&s| (s, SiteState::default())).collect(),
@@ -548,12 +535,12 @@ async fn run_localized<'a>(
         finished: false,
     }));
     let rt = qc.net.rt().clone();
-    for &(site, parallel) in &modes {
+    for &site in hosting.iter() {
         rt.spawn(dispatch_site(
             qc.clone(),
             Rc::clone(&board),
             site,
-            parallel,
+            modes.parallel_at(site),
             0,
             config,
         ));
@@ -732,68 +719,24 @@ async fn drive_query<'a>(
     });
 
     // Pick the plan.
-    let hosting = hosting_sites(qc.fed, qc.query);
-    let uniform =
-        |parallel: bool| -> Vec<(DbId, bool)> { hosting.iter().map(|&s| (s, parallel)).collect() };
     let fingerprint = query_fingerprint(qc.query);
-    enum PlannedBody {
-        Centralized,
-        Localized(Vec<(DbId, bool)>, LocalizedConfig, bool),
-    }
-    let (label, body): (&'static str, PlannedBody) = match spec.strategy {
-        SchedStrategy::Fixed(strategy) => match strategy {
-            DistributedStrategy::Centralized => (strategy.name(), PlannedBody::Centralized),
-            DistributedStrategy::BasicLocalized(config) => (
-                strategy.name(),
-                PlannedBody::Localized(uniform(false), config, false),
-            ),
-            DistributedStrategy::ParallelLocalized(config) => (
-                strategy.name(),
-                PlannedBody::Localized(uniform(true), config, false),
-            ),
-        },
+    let adaptive = matches!(spec.strategy, SchedStrategy::Adaptive);
+    let plan = match spec.strategy {
+        SchedStrategy::Fixed(strategy) => Plan::from(strategy),
         SchedStrategy::Adaptive => {
-            let choice = {
-                let catalog = qc.catalog.borrow();
-                choose(
-                    &catalog,
-                    qc.fed.global_schema(),
-                    qc.query,
-                    &qc.knobs(),
-                    fingerprint,
-                    true,
-                )
-            };
-            let best = choice.best();
-            let config = LocalizedConfig::default();
-            match best.kind {
-                PlanKind::Centralized => ("CA", PlannedBody::Centralized),
-                PlanKind::BasicLocalized => {
-                    ("BL", PlannedBody::Localized(uniform(false), config, true))
-                }
-                PlanKind::ParallelLocalized => {
-                    ("PL", PlannedBody::Localized(uniform(true), config, true))
-                }
-                PlanKind::Hybrid => {
-                    let modes = hosting
-                        .iter()
-                        .map(|&s| {
-                            let parallel = best.modes.iter().any(|m| m.db == s && m.parallel);
-                            (s, parallel)
-                        })
-                        .collect();
-                    ("HY", PlannedBody::Localized(modes, config, true))
-                }
-            }
+            let mut catalog = qc.catalog.borrow_mut();
+            let pipeline = qc.cfg.pipeline;
+            let choice = choose_plan(qc.fed, qc.query, &mut catalog, pipeline, Some(&qc.cache));
+            Plan::from(choice.best())
         }
     };
-    let adaptive = matches!(spec.strategy, SchedStrategy::Adaptive);
+    let label = plan.label();
 
     // Execute, raced against what's left of the deadline.
-    let body: Pin<Box<dyn Future<Output = BodyResult> + 'a>> = match body {
-        PlannedBody::Centralized => Box::pin(run_centralized(qc.clone())),
-        PlannedBody::Localized(modes, config, monitor) => {
-            Box::pin(run_localized(qc.clone(), modes, config, monitor))
+    let body: Pin<Box<dyn Future<Output = BodyResult> + 'a>> = match plan {
+        Plan::Central => Box::pin(run_centralized(qc.clone())),
+        Plan::Localized { modes, config } => {
+            Box::pin(run_localized(qc.clone(), modes, config, adaptive))
         }
     };
     let deadline_left = spec

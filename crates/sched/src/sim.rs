@@ -12,7 +12,7 @@
 use crate::sched::{QuerySpec, SchedConfig, SchedOutcome, SchedStrategy, Scheduler};
 use crate::DistributedStrategy;
 use fedoq_core::{ExecError, Federation};
-use fedoq_net::msg::{Envelope, Payload, Response};
+use fedoq_net::msg::Envelope;
 use fedoq_net::transport::{FaultEvent, SimTransport, Transport};
 use fedoq_object::DbId;
 use fedoq_sim::{Simulation, Site, SystemParams};
@@ -125,27 +125,10 @@ pub struct WireEvent {
     pub to: Site,
     /// RPC correlation id.
     pub rpc: u64,
-    /// Message kind (`"LocalEval"`, `"Certify"`, …).
+    /// Message kind (`"LocalEval"`, `"ShipObjects"`, …).
     pub kind: &'static str,
     /// `true` for responses.
     pub is_response: bool,
-}
-
-fn payload_kind(payload: &Payload) -> (&'static str, bool) {
-    match payload {
-        Payload::Request(request) => (request.kind(), false),
-        Payload::Response(response) => {
-            let kind = match response {
-                Response::Certify(_) => "Certify",
-                Response::LocalEval(_) => "LocalEval",
-                Response::AssistantLookup(_) => "AssistantLookup",
-                Response::ShipObjects(_) => "ShipObjects",
-                Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
-                Response::BatchCertify(_) => "BatchCertify",
-            };
-            (kind, true)
-        }
-    }
 }
 
 /// A [`SimTransport`] wrapper that logs every envelope it delivers.
@@ -188,7 +171,7 @@ impl Transport for RecordingTransport {
     fn dispatch(&mut self, env: &Envelope, now_us: f64) -> Option<f64> {
         let delay = self.inner.dispatch(env, now_us);
         if delay.is_some() {
-            let (kind, is_response) = payload_kind(&env.payload);
+            let (kind, is_response) = env.payload.kind();
             self.events.borrow_mut().push(WireEvent {
                 seq: self.seq,
                 from: env.from,

@@ -32,15 +32,12 @@ use crate::frame::{
     dec_role, enc_role, encode_frame, encode_payload, read_frame, Frame, Role, VERSION,
 };
 use crate::proto::{
-    dec_phase, dec_request, dec_response, dec_site, dec_strategy, dec_truth, dec_value, enc_phase,
-    enc_request, enc_response, enc_site, enc_strategy, enc_truth, enc_value,
+    dec_phase, dec_request, dec_response, dec_site, dec_truth, dec_value, enc_phase, enc_request,
+    enc_response, enc_site, enc_truth, enc_value,
 };
-use fedoq_core::handlers::LocalizedConfig;
-use fedoq_core::QueryAnswer;
 use fedoq_net::msg::{
-    CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
+    Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
-use fedoq_net::DistributedStrategy;
 use fedoq_object::Truth;
 use fedoq_object::{DbId, GOid, LOid, Value};
 use fedoq_sim::{Phase, Site};
@@ -52,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// changes, FQ306 fires until [`crate::frame::VERSION`] is bumped *and*
 /// this pin is updated to the value printed by the
 /// `grammar_pin_matches_current_surface` test.
-pub const GRAMMAR_PIN: (u32, u64) = (3, 0x65ba_bf2a_2240_639c);
+pub const GRAMMAR_PIN: (u32, u64) = (4, 0x1382_eaec_b17b_79dd);
 
 /// One tagged enum family of the wire grammar.
 #[derive(Debug, Clone)]
@@ -134,32 +131,6 @@ pub struct WireSurface {
 // variant. The inner `name` match has no wildcard arm: adding a variant
 // to the enum without teaching this table (and the codec) is a compile
 // error — the static half of FQ304's exhaustiveness guarantee.
-
-fn strategy_exemplars() -> Vec<(&'static str, Vec<u8>)> {
-    fn name(s: &DistributedStrategy) -> &'static str {
-        match s {
-            DistributedStrategy::Centralized => "Centralized",
-            DistributedStrategy::BasicLocalized(_) => "BasicLocalized",
-            DistributedStrategy::ParallelLocalized(_) => "ParallelLocalized",
-        }
-    }
-    let cfg = LocalizedConfig {
-        use_signatures: false,
-        complete_targets: false,
-    };
-    [
-        DistributedStrategy::Centralized,
-        DistributedStrategy::BasicLocalized(cfg),
-        DistributedStrategy::ParallelLocalized(cfg),
-    ]
-    .iter()
-    .map(|s| {
-        let mut w = Writer::new();
-        enc_strategy(&mut w, *s);
-        (name(s), w.finish())
-    })
-    .collect()
-}
 
 fn value_exemplars() -> Vec<(&'static str, Vec<u8>)> {
     fn name(v: &Value) -> &'static str {
@@ -268,19 +239,13 @@ fn role_exemplars() -> Vec<(&'static str, Vec<u8>)> {
 fn request_exemplars() -> Vec<(&'static str, Vec<u8>)> {
     fn name(r: &Request) -> &'static str {
         match r {
-            Request::Certify { .. } => "Certify",
             Request::LocalEval { .. } => "LocalEval",
             Request::AssistantLookup { .. } => "AssistantLookup",
             Request::ShipObjects => "ShipObjects",
             Request::BatchAssistantLookup { .. } => "BatchAssistantLookup",
-            Request::BatchCertify { .. } => "BatchCertify",
-            Request::HybridCertify { .. } => "HybridCertify",
         }
     }
     [
-        Request::Certify {
-            strategy: DistributedStrategy::Centralized,
-        },
         Request::LocalEval {
             parallel: false,
             use_signatures: false,
@@ -295,11 +260,6 @@ fn request_exemplars() -> Vec<(&'static str, Vec<u8>)> {
             checks: vec![],
             targets: vec![],
         },
-        Request::BatchCertify { strategies: vec![] },
-        Request::HybridCertify {
-            parallel_sites: vec![],
-            config: LocalizedConfig::default(),
-        },
     ]
     .iter()
     .map(|r| {
@@ -313,19 +273,12 @@ fn request_exemplars() -> Vec<(&'static str, Vec<u8>)> {
 fn response_exemplars() -> Vec<(&'static str, Vec<u8>)> {
     fn name(r: &Response) -> &'static str {
         match r {
-            Response::Certify(_) => "Certify",
             Response::LocalEval(_) => "LocalEval",
             Response::AssistantLookup(_) => "AssistantLookup",
             Response::ShipObjects(_) => "ShipObjects",
             Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
-            Response::BatchCertify(_) => "BatchCertify",
         }
     }
-    let certify = CertifyReply {
-        answer: Ok(QueryAnswer::new(vec![], vec![])),
-        degraded_sites: vec![],
-        retries: 0,
-    };
     let local_eval = LocalEvalReply {
         rows: vec![],
         verdicts: vec![],
@@ -338,12 +291,10 @@ fn response_exemplars() -> Vec<(&'static str, Vec<u8>)> {
         values: vec![],
     };
     [
-        Response::Certify(Box::new(certify.clone())),
         Response::LocalEval(Box::new(local_eval)),
         Response::AssistantLookup(lookup.clone()),
         Response::ShipObjects(ShipReply { bytes: 0 }),
         Response::BatchAssistantLookup(lookup),
-        Response::BatchCertify(vec![certify]),
     ]
     .iter()
     .map(|r| {
@@ -560,7 +511,6 @@ pub fn surface() -> WireSurface {
         ("phase", phase_exemplars()),
         ("truth", truth_exemplars()),
         ("value", value_exemplars()),
-        ("strategy", strategy_exemplars()),
         ("request", request_exemplars()),
         ("response", response_exemplars()),
     ];
@@ -604,21 +554,15 @@ pub fn surface() -> WireSurface {
             via(|r| dec_value(r).map(|_| ())),
         ),
         build_family(
-            "strategy",
-            "strategy tag",
-            &tables[6].1,
-            via(|r| dec_strategy(r).map(|_| ())),
-        ),
-        build_family(
             "request",
             "request tag",
-            &tables[7].1,
+            &tables[6].1,
             via(|r| dec_request(r).map(|_| ())),
         ),
         build_family(
             "response",
             "response tag",
-            &tables[8].1,
+            &tables[7].1,
             via(|r| dec_response(r).map(|_| ())),
         ),
     ];

@@ -34,7 +34,9 @@ pub const MAGIC: u32 = 0x3157_5146;
 /// v2: added `Request::HybridCertify` (per-site BL/PL schedules).
 /// v3: standing-query subscription frames (Subscribe/Delta/Unsubscribe/
 /// Mutate).
-pub const VERSION: u32 = 3;
+/// v4: removed the in-process client→global Certify/BatchCertify/
+/// HybridCertify messages (never sent between processes).
+pub const VERSION: u32 = 4;
 
 /// What kind of endpoint dialed a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +66,11 @@ pub struct ClientAnswer {
     pub degraded_sites: Vec<u16>,
     /// RPC retries the execution performed.
     pub retries: u64,
-    /// Envelopes the serve-side transport put on the wire.
+    /// Envelopes the answering serve worker's hub has put on the wire
+    /// over its lifetime (not per query).
     pub forwarded: u64,
-    /// Envelopes the serve-side transport failed to put on the wire.
+    /// Envelopes the answering serve worker's hub has failed to put on
+    /// the wire over its lifetime (not per query).
     pub lost: u64,
     /// Server-side wall-clock execution time, µs.
     pub server_us: f64,

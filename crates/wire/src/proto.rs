@@ -8,22 +8,14 @@
 //! [`WireError::Malformed`], never a panic. Encoding is canonical: the
 //! encoder has exactly one output per value, so `encode(decode(bytes))`
 //! reproduces `bytes` for every accepted input (the round-trip property
-//! `tests/wire_roundtrip.rs` exercises).
-//!
-//! One lossy corner, by design: [`ExecError`]'s `Schema`/`Store`/`Query`
-//! variants carry rich error types that never legitimately cross the
-//! wire (they arise while *binding* a query, before execution). They
-//! collapse to [`ExecError::Internal`] carrying their rendered message.
+//! `tests/wire_roundtrip.rs` exercises). Tags of removed variants stay
+//! retired, so the surviving variants keep their numbers.
 
 use crate::codec::{Reader, WireError, Writer, MAX_DEPTH};
-use fedoq_core::handlers::{
-    CheckRequest, CheckVerdict, LocalRow, LocalizedConfig, TargetRequest, UnsolvedEntry,
-};
-use fedoq_core::{ExecError, MaybeRow, Provenance, QueryAnswer, ResultRow};
+use fedoq_core::handlers::{CheckRequest, CheckVerdict, LocalRow, TargetRequest, UnsolvedEntry};
 use fedoq_net::msg::{
-    CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
+    Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
-use fedoq_net::DistributedStrategy;
 use fedoq_object::{DbId, GOid, LOid, Truth, Value};
 use fedoq_query::PredId;
 use fedoq_sim::{Phase, Site};
@@ -175,47 +167,6 @@ fn dec_pred(r: &mut Reader) -> Result<PredId, WireError> {
     Ok(PredId::new(r.size()?))
 }
 
-// ----------------------------------------------------------- strategies
-
-fn enc_localized_config(w: &mut Writer, c: LocalizedConfig) {
-    w.boolean(c.use_signatures);
-    w.boolean(c.complete_targets);
-}
-
-fn dec_localized_config(r: &mut Reader) -> Result<LocalizedConfig, WireError> {
-    Ok(LocalizedConfig {
-        use_signatures: r.boolean()?,
-        complete_targets: r.boolean()?,
-    })
-}
-
-pub(crate) fn enc_strategy(w: &mut Writer, s: DistributedStrategy) {
-    match s {
-        DistributedStrategy::Centralized => w.u8(0),
-        DistributedStrategy::BasicLocalized(c) => {
-            w.u8(1);
-            enc_localized_config(w, c);
-        }
-        DistributedStrategy::ParallelLocalized(c) => {
-            w.u8(2);
-            enc_localized_config(w, c);
-        }
-    }
-}
-
-pub(crate) fn dec_strategy(r: &mut Reader) -> Result<DistributedStrategy, WireError> {
-    match r.u8()? {
-        0 => Ok(DistributedStrategy::Centralized),
-        1 => Ok(DistributedStrategy::BasicLocalized(dec_localized_config(
-            r,
-        )?)),
-        2 => Ok(DistributedStrategy::ParallelLocalized(
-            dec_localized_config(r)?,
-        )),
-        _ => Err(WireError::Malformed("strategy tag")),
-    }
-}
-
 // ------------------------------------------------------- handler structs
 
 fn enc_check_request(w: &mut Writer, c: &CheckRequest) {
@@ -365,10 +316,6 @@ fn enc_lookup_lists(w: &mut Writer, checks: &[CheckRequest], targets: &[TargetRe
 
 pub(crate) fn enc_request(w: &mut Writer, req: &Request) {
     match req {
-        Request::Certify { strategy } => {
-            w.u8(0);
-            enc_strategy(w, *strategy);
-        }
         Request::LocalEval {
             parallel,
             use_signatures,
@@ -388,32 +335,11 @@ pub(crate) fn enc_request(w: &mut Writer, req: &Request) {
             w.u8(4);
             enc_lookup_lists(w, checks, targets);
         }
-        Request::BatchCertify { strategies } => {
-            w.u8(5);
-            w.seq(strategies.len());
-            for s in strategies {
-                enc_strategy(w, *s);
-            }
-        }
-        Request::HybridCertify {
-            parallel_sites,
-            config,
-        } => {
-            w.u8(6);
-            w.seq(parallel_sites.len());
-            for db in parallel_sites {
-                enc_db(w, *db);
-            }
-            enc_localized_config(w, *config);
-        }
     }
 }
 
 pub(crate) fn dec_request(r: &mut Reader) -> Result<Request, WireError> {
     match r.u8()? {
-        0 => Ok(Request::Certify {
-            strategy: dec_strategy(r)?,
-        }),
         1 => Ok(Request::LocalEval {
             parallel: r.boolean()?,
             use_signatures: r.boolean()?,
@@ -430,139 +356,11 @@ pub(crate) fn dec_request(r: &mut Reader) -> Result<Request, WireError> {
             let targets = dec_seq(r, dec_target_request)?;
             Ok(Request::BatchAssistantLookup { checks, targets })
         }
-        5 => Ok(Request::BatchCertify {
-            strategies: dec_seq(r, dec_strategy)?,
-        }),
-        6 => Ok(Request::HybridCertify {
-            parallel_sites: dec_seq(r, dec_db)?,
-            config: dec_localized_config(r)?,
-        }),
         _ => Err(WireError::Malformed("request tag")),
     }
 }
 
 // ------------------------------------------------------------ responses
-
-fn enc_result_row(w: &mut Writer, row: &ResultRow) {
-    w.u64(row.goid().serial());
-    w.seq(row.values().len());
-    for v in row.values() {
-        enc_value(w, v);
-    }
-}
-
-fn dec_result_row(r: &mut Reader) -> Result<ResultRow, WireError> {
-    let goid = GOid::new(r.u64()?);
-    let values = dec_seq(r, dec_value)?;
-    Ok(ResultRow::new(goid, values))
-}
-
-fn enc_maybe_row(w: &mut Writer, row: &MaybeRow) {
-    enc_result_row(w, row.row());
-    let unsolved: Vec<PredId> = row.unsolved().collect();
-    w.seq(unsolved.len());
-    for p in unsolved {
-        enc_pred(w, p);
-    }
-    w.u8(match row.provenance() {
-        Provenance::Full => 0,
-        Provenance::Degraded => 1,
-    });
-}
-
-fn dec_maybe_row(r: &mut Reader) -> Result<MaybeRow, WireError> {
-    let row = dec_result_row(r)?;
-    let unsolved = dec_seq(r, dec_pred)?;
-    if unsolved.is_empty() {
-        // MaybeRow::new panics on an empty unsolved set; a frame claiming
-        // one is malformed, not a crash vector.
-        return Err(WireError::Malformed("maybe row with nothing unsolved"));
-    }
-    let provenance = match r.u8()? {
-        0 => Provenance::Full,
-        1 => Provenance::Degraded,
-        _ => return Err(WireError::Malformed("provenance tag")),
-    };
-    Ok(MaybeRow::new(row, unsolved).with_provenance(provenance))
-}
-
-fn enc_answer(w: &mut Writer, answer: &QueryAnswer) {
-    w.seq(answer.certain().len());
-    for row in answer.certain() {
-        enc_result_row(w, row);
-    }
-    w.seq(answer.maybe().len());
-    for row in answer.maybe() {
-        enc_maybe_row(w, row);
-    }
-}
-
-fn dec_answer(r: &mut Reader) -> Result<QueryAnswer, WireError> {
-    let certain = dec_seq(r, dec_result_row)?;
-    let maybe = dec_seq(r, dec_maybe_row)?;
-    Ok(QueryAnswer::new(certain, maybe))
-}
-
-fn enc_exec_error(w: &mut Writer, e: &ExecError) {
-    match e {
-        ExecError::Unreachable(msg) => {
-            w.u8(1);
-            w.str(msg);
-        }
-        ExecError::Internal(msg) => {
-            w.u8(0);
-            w.str(msg);
-        }
-        // Schema/Store/Query errors arise while binding, before any
-        // execution message exists; if one ever reaches the wire it
-        // travels as its rendered message.
-        other => {
-            w.u8(0);
-            w.str(&other.to_string());
-        }
-    }
-}
-
-fn dec_exec_error(r: &mut Reader) -> Result<ExecError, WireError> {
-    match r.u8()? {
-        0 => Ok(ExecError::Internal(r.str()?)),
-        1 => Ok(ExecError::Unreachable(r.str()?)),
-        _ => Err(WireError::Malformed("error tag")),
-    }
-}
-
-fn enc_certify_reply(w: &mut Writer, reply: &CertifyReply) {
-    match &reply.answer {
-        Ok(answer) => {
-            w.u8(0);
-            enc_answer(w, answer);
-        }
-        Err(e) => {
-            w.u8(1);
-            enc_exec_error(w, e);
-        }
-    }
-    w.seq(reply.degraded_sites.len());
-    for db in &reply.degraded_sites {
-        enc_db(w, *db);
-    }
-    w.u64(reply.retries);
-}
-
-fn dec_certify_reply(r: &mut Reader) -> Result<CertifyReply, WireError> {
-    let answer = match r.u8()? {
-        0 => Ok(dec_answer(r)?),
-        1 => Err(dec_exec_error(r)?),
-        _ => return Err(WireError::Malformed("result tag")),
-    };
-    let degraded_sites = dec_seq(r, dec_db)?;
-    let retries = r.u64()?;
-    Ok(CertifyReply {
-        answer,
-        degraded_sites,
-        retries,
-    })
-}
 
 fn enc_lookup_reply(w: &mut Writer, reply: &LookupReply) {
     w.seq(reply.verdicts.len());
@@ -640,10 +438,6 @@ fn dec_local_eval_reply(r: &mut Reader) -> Result<LocalEvalReply, WireError> {
 
 pub(crate) fn enc_response(w: &mut Writer, resp: &Response) {
     match resp {
-        Response::Certify(reply) => {
-            w.u8(0);
-            enc_certify_reply(w, reply);
-        }
         Response::LocalEval(reply) => {
             w.u8(1);
             enc_local_eval_reply(w, reply);
@@ -660,24 +454,15 @@ pub(crate) fn enc_response(w: &mut Writer, resp: &Response) {
             w.u8(4);
             enc_lookup_reply(w, reply);
         }
-        Response::BatchCertify(replies) => {
-            w.u8(5);
-            w.seq(replies.len());
-            for reply in replies {
-                enc_certify_reply(w, reply);
-            }
-        }
     }
 }
 
 pub(crate) fn dec_response(r: &mut Reader) -> Result<Response, WireError> {
     match r.u8()? {
-        0 => Ok(Response::Certify(Box::new(dec_certify_reply(r)?))),
         1 => Ok(Response::LocalEval(Box::new(dec_local_eval_reply(r)?))),
         2 => Ok(Response::AssistantLookup(dec_lookup_reply(r)?)),
         3 => Ok(Response::ShipObjects(ShipReply { bytes: r.u64()? })),
         4 => Ok(Response::BatchAssistantLookup(dec_lookup_reply(r)?)),
-        5 => Ok(Response::BatchCertify(dec_seq(r, dec_certify_reply)?)),
         _ => Err(WireError::Malformed("response tag")),
     }
 }

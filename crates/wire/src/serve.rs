@@ -3,8 +3,8 @@
 //!
 //! `fedoq-serve` accepts any number of client connections speaking the
 //! [`Frame::Query`]/[`Frame::Answer`] protocol and executes each query
-//! as the *global integrator* of the distributed runtime — spawning
-//! [`fedoq_net::actor::run_global`] on a per-query runtime whose
+//! as the *global integrator* of the distributed runtime — awaiting
+//! [`fedoq_net::actor::execute_plan`] on a per-query runtime whose
 //! [`TcpTransport`] forwards `LocalEval`/`ShipObjects` requests to the
 //! remote site daemons.
 //!
@@ -21,8 +21,8 @@
 //! construction.
 //!
 //! Failure semantics are inherited, not reimplemented: a dead site
-//! surfaces as RPC timeouts inside the runtime, which the global actor
-//! already converts into degraded maybe-rows (BL/PL) or
+//! surfaces as RPC timeouts inside the runtime, which the global site's
+//! orchestration already converts into degraded maybe-rows (BL/PL) or
 //! [`fedoq_core::ExecError::Unreachable`] (CA).
 
 use crate::drive::wall_driver;
@@ -32,17 +32,15 @@ use crate::hub::Hub;
 use crate::live::LiveSession;
 use crate::render::render_answer;
 use crate::transport::{Locality, TcpTransport};
-use fedoq_core::handlers::LocalizedConfig;
 use fedoq_core::{
-    collect_catalog, query_fingerprint, refresh_catalog, Federation, LookupCache, PipelineConfig,
+    choose_plan, collect_catalog, query_fingerprint, Federation, LedgerMark, LookupCache,
+    PipelineConfig,
 };
-use fedoq_net::actor::{run_global, Ctx};
-use fedoq_net::msg::{Request, Response};
+use fedoq_net::actor::{execute_plan, Ctx};
 use fedoq_net::router::Net;
-use fedoq_net::rpc::call;
-use fedoq_net::{DistributedStrategy, RpcConfig, Runtime, Transport};
-use fedoq_plan::{choose, PipelineKnobs, PlanKind, StatsCatalog};
-use fedoq_sim::{Phase, Resource, Simulation, Site, SystemParams};
+use fedoq_net::{DistributedStrategy, Plan, RpcConfig, Runtime, Transport};
+use fedoq_plan::StatsCatalog;
+use fedoq_sim::{Simulation, SystemParams};
 use fedoq_sync::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -372,74 +370,23 @@ fn execute(
     let query = fed.parse_and_bind(&job.sql).map_err(|e| e.to_string())?;
     let fingerprint = query_fingerprint(&query);
 
-    // Strategy selection: a fixed name, or the adaptive planner ranking
-    // CA/BL/PL/HY against this worker's statistics catalog. A hybrid
-    // winner ships as one `HybridCertify` carrying the per-site
-    // schedule; uniform winners ship as a plain `Certify`.
+    // A fixed strategy name, or the adaptive planner ranking CA/BL/PL/HY
+    // against this worker's statistics catalog.
     let adaptive = job.strategy.eq_ignore_ascii_case("adaptive");
-    let (request, executed, planned) = if adaptive {
-        refresh_catalog(catalog, fed);
-        let warmth = if opts.pipeline.cache {
-            cache.borrow().stats().hit_rate()
-        } else {
-            0.0
-        };
-        let knobs = PipelineKnobs {
-            threads: opts.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: opts.pipeline.batch as f64,
-        };
-        let choice = choose(
-            catalog,
-            fed.global_schema(),
-            &query,
-            &knobs,
-            fingerprint,
-            true,
-        );
-        let best = choice.best();
-        let kind = best.kind;
-        let request = match kind {
-            PlanKind::Centralized => Request::Certify {
-                strategy: DistributedStrategy::ca(),
-            },
-            PlanKind::BasicLocalized => Request::Certify {
-                strategy: DistributedStrategy::bl(),
-            },
-            PlanKind::ParallelLocalized => Request::Certify {
-                strategy: DistributedStrategy::pl(),
-            },
-            PlanKind::Hybrid => Request::HybridCertify {
-                parallel_sites: best
-                    .modes
-                    .iter()
-                    .filter(|m| m.parallel)
-                    .map(|m| m.db)
-                    .collect(),
-                config: LocalizedConfig::default(),
-            },
-        };
-        (request, kind.label().to_string(), Some(kind))
+    let plan = if adaptive {
+        Plan::from(choose_plan(fed, &query, catalog, opts.pipeline, Some(cache)).best())
     } else {
-        let strategy = DistributedStrategy::parse(&job.strategy)
-            .ok_or_else(|| format!("unknown strategy '{}'", job.strategy))?;
-        (
-            Request::Certify { strategy },
-            strategy.name().to_string(),
-            None,
-        )
+        DistributedStrategy::parse(&job.strategy)
+            .ok_or_else(|| format!("unknown strategy '{}'", job.strategy))?
+            .into()
     };
 
     cache.borrow_mut().sync_generation(fed.generation());
-    let cache_opt = if opts.pipeline.cache {
-        Some(Rc::clone(cache))
-    } else {
-        None
-    };
     let sim = Rc::new(RefCell::new(Simulation::new(
         SystemParams::paper_default(),
         fed.num_dbs(),
     )));
+    let mark = LedgerMark::take(&sim.borrow());
     let transport: Rc<RefCell<dyn Transport>> = Rc::new(RefCell::new(TcpTransport::new(
         hub.clone(),
         Locality::Global,
@@ -450,75 +397,42 @@ fn execute(
     let net = Net::new(rt.handle(), Rc::clone(&transport), fed.num_dbs());
     net.seed_rpc_ids(rpc_base(worker, *job_seq));
     *job_seq += 1;
-    rt.handle().spawn(run_global(Ctx {
+    let ctx = Ctx {
         fed,
         query: &query,
         net: net.clone(),
         sim: Rc::clone(&sim),
         rpc: opts.rpc,
         pipeline: opts.pipeline,
-        cache: cache_opt,
-    }));
+        cache: opts.pipeline.cache.then(|| Rc::clone(cache)),
+    };
 
-    // The client half: one self-RPC to the in-process global actor with
-    // an effectively unbounded window (end-to-end patience is the
-    // point), driven by the wall clock so the actor's *own* RPCs to the
-    // site daemons get real deadlines.
+    // The global site's orchestration runs right here, driven by the wall
+    // clock so its RPCs to the site daemons get real deadlines.
+    let label = plan.label();
     let start = Instant::now();
-    let client_net = net.clone();
-    let inject_net = net.clone();
-    let response = rt
+    let reply = rt
         .run_driven(
-            async move {
-                let cfg = RpcConfig {
-                    timeout_us: 1e15,
-                    per_byte_us: 0.0,
-                    retries: 0,
-                    backoff_us: 0.0,
-                    backoff_factor: 1.0,
-                };
-                call(
-                    &client_net,
-                    Site::Global,
-                    Site::Global,
-                    request,
-                    0,
-                    Phase::Ship,
-                    cfg,
-                )
-                .await
-            },
+            async move { execute_plan(&ctx, &plan).await },
             wall_driver(hub.clone(), start, move |inbound| {
                 if let Frame::Envelope { env, .. } = inbound.frame {
-                    inject_net.inject(env);
+                    net.inject(env);
                 }
             }),
         )
-        .map_err(|deadlock| deadlock.to_string())?
-        .map_err(|e| format!("global actor lost: {e}"))?;
+        .map_err(|deadlock| deadlock.to_string())?;
     let server_us = start.elapsed().as_secs_f64() * 1e6;
-
-    let Response::Certify(reply) = response else {
-        return Err("mismatched response to Certify".into());
-    };
     let (forwarded, lost) = transport.borrow().stats();
 
     // Adaptive feedback: the measured response and wire traffic sharpen
     // the next plan.
-    if let Some(kind) = planned {
-        let metrics = sim.borrow().metrics();
-        catalog.observe_response(fingerprint, kind.label(), metrics.response_us);
-        let net_busy = sim
-            .borrow()
-            .ledger()
-            .total_for_resource(Resource::Net)
-            .as_micros();
-        catalog.observe_net(metrics.bytes_transferred, net_busy);
+    if adaptive {
+        mark.observe(catalog, fingerprint, label, &sim.borrow());
     }
 
     match reply.answer {
         Ok(answer) => Ok(ClientAnswer {
-            executed,
+            executed: label.to_string(),
             rows: render_answer(&answer),
             degraded_sites: reply
                 .degraded_sites

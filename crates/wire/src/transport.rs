@@ -8,11 +8,10 @@
 //! can lazily bind a session for a fingerprint it has never seen).
 //!
 //! Envelopes addressed to the local site are declined (`forward` returns
-//! `false`), so the router delivers them in-process with zero delay —
-//! the client's self-RPC to the global actor, or a site's lookup into
-//! its own store. Everything else is framed onto the wire through the
-//! shared [`Hub`]; a failed send is a lost datagram, surfaced only as
-//! the sender's RPC timeout.
+//! `false`), so the router delivers them in-process with zero delay — a
+//! site's lookup into its own store. Everything else is framed onto the
+//! wire through the shared [`Hub`]; a failed send is a lost datagram,
+//! surfaced only as the sender's RPC timeout.
 
 use crate::hub::Hub;
 use fedoq_net::msg::{Envelope, Payload};

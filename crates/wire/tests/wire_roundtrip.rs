@@ -4,22 +4,17 @@
 //!
 //! * **Canonical round trip** — for any envelope built through the real
 //!   constructors, `encode(decode(encode(e))) == encode(e)` byte for
-//!   byte (the constructors normalize — sorted answers, deduplicated
-//!   unsolved sets — and the codec adds no freedom of its own).
+//!   byte (the codec adds no freedom of its own).
 //! * **Truncation is an error** — every strict prefix of a valid
 //!   encoding is rejected, never mis-parsed or panicked on.
 //! * **Garbage never panics** — arbitrary bytes either fail to decode
 //!   or decode to a value whose re-encoding is a fixed point of
 //!   `encode ∘ decode` (the decoder normalizes, idempotently).
 
-use fedoq_core::handlers::{
-    CheckRequest, CheckVerdict, LocalRow, LocalizedConfig, TargetRequest, UnsolvedEntry,
-};
-use fedoq_core::{ExecError, MaybeRow, Provenance, QueryAnswer, ResultRow};
+use fedoq_core::handlers::{CheckRequest, CheckVerdict, LocalRow, TargetRequest, UnsolvedEntry};
 use fedoq_net::msg::{
-    CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
+    Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
-use fedoq_net::DistributedStrategy;
 use fedoq_object::{DbId, GOid, LOid, Truth, Value};
 use fedoq_query::PredId;
 use fedoq_sim::{Phase, Site};
@@ -78,18 +73,6 @@ fn arb_value(depth: u32) -> BoxedStrategy<Value> {
     } else {
         prop_oneof![leaf, vec(arb_value(depth - 1), 0..3).prop_map(Value::List)].boxed()
     }
-}
-
-fn arb_strategy() -> impl Strategy<Value = DistributedStrategy> {
-    let cfg = (any::<bool>(), any::<bool>()).prop_map(|(s, t)| LocalizedConfig {
-        use_signatures: s,
-        complete_targets: t,
-    });
-    prop_oneof![
-        Just(DistributedStrategy::Centralized),
-        cfg.clone().prop_map(DistributedStrategy::BasicLocalized),
-        cfg.prop_map(DistributedStrategy::ParallelLocalized),
-    ]
 }
 
 fn arb_check_request() -> impl Strategy<Value = CheckRequest> {
@@ -154,51 +137,6 @@ fn arb_local_row() -> impl Strategy<Value = LocalRow> {
         )
 }
 
-fn arb_result_row() -> impl Strategy<Value = ResultRow> {
-    (arb_goid(), vec(arb_value(1), 0..3)).prop_map(|(goid, values)| ResultRow::new(goid, values))
-}
-
-fn arb_maybe_row() -> impl Strategy<Value = MaybeRow> {
-    (arb_result_row(), vec(arb_pred(), 1..4), any::<bool>()).prop_map(
-        |(row, unsolved, degraded)| {
-            let prov = if degraded {
-                Provenance::Degraded
-            } else {
-                Provenance::Full
-            };
-            MaybeRow::new(row, unsolved).with_provenance(prov)
-        },
-    )
-}
-
-fn arb_answer() -> impl Strategy<Value = QueryAnswer> {
-    (vec(arb_result_row(), 0..4), vec(arb_maybe_row(), 0..4))
-        .prop_map(|(certain, maybe)| QueryAnswer::new(certain, maybe))
-}
-
-fn arb_exec_error() -> impl Strategy<Value = ExecError> {
-    prop_oneof![
-        "[ -~]{0,24}".prop_map(ExecError::Internal),
-        "[ -~]{0,24}".prop_map(ExecError::Unreachable),
-    ]
-}
-
-fn arb_certify_reply() -> impl Strategy<Value = CertifyReply> {
-    (
-        prop_oneof![
-            arb_answer().prop_map(Ok).boxed(),
-            arb_exec_error().prop_map(Err).boxed()
-        ],
-        vec(arb_db(), 0..3),
-        any::<u64>(),
-    )
-        .prop_map(|(answer, degraded_sites, retries)| CertifyReply {
-            answer,
-            degraded_sites,
-            retries,
-        })
-}
-
 fn arb_lookup_reply() -> impl Strategy<Value = LookupReply> {
     (
         vec(arb_check_verdict(), 0..4),
@@ -209,7 +147,6 @@ fn arb_lookup_reply() -> impl Strategy<Value = LookupReply> {
 
 fn arb_request() -> BoxedStrategy<Request> {
     prop_oneof![
-        arb_strategy().prop_map(|strategy| Request::Certify { strategy }),
         (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
             |(parallel, use_signatures, complete_targets)| Request::LocalEval {
                 parallel,
@@ -228,7 +165,6 @@ fn arb_request() -> BoxedStrategy<Request> {
             vec(arb_target_request(), 0..4)
         )
             .prop_map(|(checks, targets)| Request::BatchAssistantLookup { checks, targets }),
-        vec(arb_strategy(), 0..3).prop_map(|strategies| Request::BatchCertify { strategies }),
     ]
     .boxed()
 }
@@ -254,12 +190,10 @@ fn arb_local_eval_reply() -> impl Strategy<Value = LocalEvalReply> {
 
 fn arb_response() -> BoxedStrategy<Response> {
     prop_oneof![
-        arb_certify_reply().prop_map(|r| Response::Certify(Box::new(r))),
         arb_local_eval_reply().prop_map(|r| Response::LocalEval(Box::new(r))),
         arb_lookup_reply().prop_map(Response::AssistantLookup),
         any::<u64>().prop_map(|bytes| Response::ShipObjects(ShipReply { bytes })),
         arb_lookup_reply().prop_map(Response::BatchAssistantLookup),
-        vec(arb_certify_reply(), 0..3).prop_map(Response::BatchCertify),
     ]
     .boxed()
 }
