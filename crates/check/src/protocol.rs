@@ -358,7 +358,7 @@ pub fn run_protocol_with_pipeline(
     let plan = Plan::from(strategy);
     let handle = rt.handle();
     let outcome = rt.run(async move {
-        let reply = execute_plan(&global, &plan).await;
+        let reply = execute_plan(&global, &plan, ()).await;
         handle.sleep(DRAIN_US).await;
         reply
     });

@@ -4,10 +4,11 @@
 //! site's `LocalEval` reply is folded into one accumulator, the merged
 //! rows are certified once, and maybe rows touched by a failure are
 //! re-tagged [`Provenance::Degraded`]. [`LocalizedMerge`] is that
-//! accumulator, extracted so the actor runtime (`fedoq-net`) and the
-//! concurrent scheduler (`fedoq-sched`) certify through the *same* code —
-//! which is what makes a scheduled query's answer byte-identical to a
-//! serial run of the same plan.
+//! accumulator. The actor runtime's orchestrator (`fedoq-net`'s
+//! `execute_plan`, which the concurrent scheduler also runs) folds each
+//! reply in as it completes and certifies through this code once — which
+//! is what makes a distributed or scheduled query's answer
+//! byte-identical to a serial run of the same plan.
 //!
 //! The accumulator is also where replan soundness is enforced
 //! structurally: a site merges **at most once**. A mid-flight replan that
@@ -124,12 +125,11 @@ impl LocalizedMerge {
         query: &BoundQuery,
         sim: &mut Simulation,
     ) -> (QueryAnswer, Vec<DbId>) {
-        // Canonicalise merge order. Sites may have been recorded in reply
-        // *completion* order (the concurrent scheduler merges whichever
+        // Canonicalise merge order. Sites are recorded in reply
+        // *completion* order (the actor orchestrator merges whichever
         // site answers first); certification groups rows in `site_rows`
         // order, so sort both site-ordered inputs ascending to make the
-        // answer independent of arrival order. The serial orchestrator
-        // already merges ascending, so this is a no-op there.
+        // answer independent of arrival order.
         self.site_rows.sort_by_key(|(site, _)| *site);
         self.queried_dbs.sort_unstable();
 

@@ -2,7 +2,14 @@
 //!
 //! [`run_site`] is one component site's event loop; [`execute_plan`] is
 //! the global (federation) site's orchestration of one query, awaited
-//! directly by whoever runs the query. The actors reuse the *exact*
+//! directly by whoever runs the query — the distributed executor,
+//! `fedoq-serve`, the protocol checker and the concurrent scheduler. It
+//! is the only code that sends a query's global→site `LocalEval` and
+//! `ShipObjects` requests and folds their replies; a caller's policy
+//! (the scheduler's dispatch gate, cancellation, trace and straggler
+//! replanning) wraps each dispatch through a [`DispatchHook`]. Localized
+//! replies fold into one [`LocalizedMerge`] in completion order, first
+//! reply per site wins. The actors reuse the *exact*
 //! computation of the in-process strategies via [`fedoq_core::handlers`],
 //! so their certain/maybe answers match the sync strategies bit for bit
 //! when the network is healthy — messaging changes *how* the work moves
@@ -51,15 +58,16 @@ use fedoq_query::{plan_for_db, BoundQuery, PredId};
 use fedoq_sim::{Phase, Simulation, Site};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::future::Future;
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
 /// Outer RPCs whose handler issues nested RPCs (`LocalEval`,
 /// `ShipObjects`) get this much more time, so a callee patiently
 /// retrying its *own* peers — or shipping a large reply — is not
 /// mistaken for a dead site.
-pub const FANOUT_TIMEOUT_SCALE: f64 = 50.0;
+const FANOUT_TIMEOUT_SCALE: f64 = 50.0;
 
 /// Everything one actor needs: the (immutably shared) federation and
 /// query, the message fabric, the shared cost ledger, and the RPC policy.
@@ -552,25 +560,91 @@ pub struct CertifyReply {
     pub retries: u64,
 }
 
+/// What the caller of [`execute_plan`] wraps around each global→site
+/// dispatch.
+///
+/// `()` is the no-op hook, passed by
+/// [`DistributedExecutor`](crate::DistributedExecutor), `fedoq-serve`
+/// and the protocol checker. The concurrent scheduler (`fedoq-sched`)
+/// implements it with its dispatch gate, deadline cancellation,
+/// dispatch trace and straggler probe.
+pub trait DispatchHook<'a>: Sized + 'a {
+    /// Held from admission until the dispatch's RPC returns.
+    type Permit;
+
+    /// Waits until one more dispatch may go out.
+    fn admit(&self) -> impl Future<Output = Self::Permit>;
+
+    /// `true` once the query is abandoned: an admitted dispatch is not
+    /// sent, and a failed one no longer marks its site lost.
+    fn cancelled(&self) -> bool {
+        false
+    }
+
+    /// A dispatch to `site` is going out (`generation` 0 for the plan,
+    /// 1 for a redispatch).
+    fn dispatched(&self, _site: DbId, _parallel: bool, _generation: u32) {}
+
+    /// `site` answered; `stale` when the reply was discarded because the
+    /// site was already merged or the fold had finished.
+    fn replied(&self, _site: DbId, _stale: bool) {}
+
+    /// `site` was given up: no dispatch to it is left that could answer.
+    fn lost(&self, _site: DbId) {}
+
+    /// A localized fan-out has started; the hook may keep `fanout` (in a
+    /// task of its own) to watch it and redispatch stragglers.
+    fn watch(&self, _fanout: &Fanout<'a, Self>) {}
+}
+
+impl<'a> DispatchHook<'a> for () {
+    type Permit = ();
+
+    fn admit(&self) -> impl Future<Output = ()> {
+        std::future::ready(())
+    }
+}
+
 /// The global site's orchestration: runs `plan` end to end over the
-/// component actors and certifies the answer.
+/// component actors and certifies the answer, with `hook` around every
+/// dispatch.
 ///
 /// Callers await it directly on the runtime that hosts the site actors
 /// (or, over a real wire, the transport that reaches them); the global
 /// site never receives a message of its own.
-pub async fn execute_plan(ctx: &Ctx<'_>, plan: &Plan) -> CertifyReply {
+pub async fn execute_plan<'a, H: DispatchHook<'a>>(
+    ctx: &Ctx<'a>,
+    plan: &Plan,
+    hook: H,
+) -> CertifyReply {
     match plan {
-        Plan::Central => orchestrate_centralized(ctx).await,
-        Plan::Localized { modes, config } => orchestrate_localized(ctx, modes, *config).await,
+        Plan::Central => orchestrate_centralized(ctx, &hook).await,
+        Plan::Localized { modes, config } => orchestrate_localized(ctx, modes, *config, hook).await,
     }
+}
+
+/// One global→site RPC. The site does work (and, for `LocalEval`, RPCs)
+/// of its own before it replies, hence the scaled timeout.
+async fn call_site(ctx: &Ctx<'_>, site: DbId, request: Request) -> Result<Response, RpcError> {
+    let bytes = 2 * ctx.sim.borrow().params().attr_bytes;
+    let cfg = ctx.rpc.scaled(FANOUT_TIMEOUT_SCALE);
+    call(
+        &ctx.net,
+        Site::Global,
+        Site::Db(site),
+        request,
+        bytes,
+        Phase::Ship,
+        cfg,
+    )
+    .await
 }
 
 /// CA over the runtime: ship every involved extent, then evaluate at the
 /// global site. No shipment may be missing, so failure is fatal.
-async fn orchestrate_centralized(ctx: &Ctx<'_>) -> CertifyReply {
+async fn orchestrate_centralized<'a, H: DispatchHook<'a>>(ctx: &Ctx<'a>, hook: &H) -> CertifyReply {
     let params = *ctx.sim.borrow().params();
     let plan = ship_plan(ctx.fed, ctx.query, &params);
-    let cfg = ctx.rpc.scaled(FANOUT_TIMEOUT_SCALE);
     // With the cache on, shipments the global site already holds from a
     // previous run of this query are warm: a site is contacted only if
     // it owns at least one cold shipment. Cache entries are recorded
@@ -594,30 +668,30 @@ async fn orchestrate_centralized(ctx: &Ctx<'_>) -> CertifyReply {
         }
         contact.retain(|site| cold.contains(site));
     }
-    let ships: Vec<BoxFut<'_, (DbId, Result<Response, RpcError>)>> = contact
+    let ships: Vec<BoxFut<'_, (DbId, bool)>> = contact
         .iter()
         .map(|&site| {
-            let net = ctx.net.clone();
             Box::pin(async move {
-                let outcome = call(
-                    &net,
-                    Site::Global,
-                    Site::Db(site),
-                    Request::ShipObjects,
-                    2 * params.attr_bytes,
-                    Phase::Ship,
-                    cfg,
-                )
-                .await;
-                (site, outcome)
+                let _permit = hook.admit().await;
+                if hook.cancelled() {
+                    return (site, false);
+                }
+                hook.dispatched(site, false, 0);
+                let outcome = call_site(ctx, site, Request::ShipObjects).await;
+                let shipped = matches!(outcome, Ok(Response::ShipObjects(_)));
+                if shipped {
+                    hook.replied(site, false);
+                } else {
+                    hook.lost(site);
+                }
+                (site, shipped)
             }) as BoxFut<'_, _>
         })
         .collect();
     let mut degraded_sites = Vec::new();
-    for (site, outcome) in join_all(ships).await {
-        match outcome {
-            Ok(Response::ShipObjects(_)) => {}
-            _ => degraded_sites.push(site),
+    for (site, shipped) in join_all(ships).await {
+        if !shipped {
+            degraded_sites.push(site);
         }
     }
     let answer = if degraded_sites.is_empty() {
@@ -647,54 +721,216 @@ async fn orchestrate_centralized(ctx: &Ctx<'_>) -> CertifyReply {
     }
 }
 
-/// BL/PL/HY over the runtime: fan `LocalEval` out to every hosting site
-/// (each with its mode's `parallel` flag), merge the replies through
-/// [`LocalizedMerge`], certify, and tag degraded maybe results.
-async fn orchestrate_localized(
-    ctx: &Ctx<'_>,
+/// BL/PL/HY over the runtime: one `LocalEval` task per hosting site
+/// (each with its mode's `parallel` flag) folds its reply into a
+/// [`LocalizedMerge`] in completion order; once every site is merged or
+/// lost, the merge certifies and tags degraded maybe results.
+async fn orchestrate_localized<'a, H: DispatchHook<'a>>(
+    ctx: &Ctx<'a>,
     modes: &SiteModes,
     config: LocalizedConfig,
+    hook: H,
 ) -> CertifyReply {
     let schema = ctx.fed.global_schema();
-    let hosting: Vec<DbId> = ctx
+    let hosting: Rc<[DbId]> = ctx
         .fed
         .dbs()
         .iter()
         .filter_map(|db| plan_for_db(ctx.query, schema, db.id()).map(|p| p.db()))
         .collect();
+    let fanout = Fanout {
+        ctx: ctx.clone(),
+        hook: Rc::new(hook),
+        config,
+        state: Rc::new(RefCell::new(FanoutState {
+            remaining: hosting.len(),
+            ..FanoutState::default()
+        })),
+        hosting,
+    };
+    for &site in fanout.hosting.iter() {
+        fanout.spawn_dispatch(site, modes.parallel_at(site), 0);
+    }
+    fanout.hook.watch(&fanout);
+    poll_fn(|cx| {
+        let mut state = fanout.state.borrow_mut();
+        if state.remaining == 0 {
+            return Poll::Ready(());
+        }
+        state.waker = Some(cx.waker().clone());
+        Poll::Pending
+    })
+    .await;
+    let merge = {
+        let mut state = fanout.state.borrow_mut();
+        state.finished = true;
+        std::mem::take(&mut state.merge)
+    };
+    let (answer, degraded_sites) = merge.finish(ctx.fed, ctx.query, &mut ctx.sim.borrow_mut());
+    CertifyReply {
+        answer: Ok(answer),
+        degraded_sites,
+        retries: ctx.net.retries(),
+    }
+}
 
-    let params = *ctx.sim.borrow().params();
-    let cfg = ctx.rpc.scaled(FANOUT_TIMEOUT_SCALE);
-    let evals: Vec<BoxFut<'_, (DbId, Result<Response, RpcError>)>> = hosting
-        .iter()
-        .map(|&site| {
-            let net = ctx.net.clone();
-            let request = Request::LocalEval {
-                parallel: modes.parallel_at(site),
-                use_signatures: config.use_signatures,
-                complete_targets: config.complete_targets,
-            };
-            Box::pin(async move {
-                let outcome = call(
-                    &net,
-                    Site::Global,
-                    Site::Db(site),
-                    request,
-                    2 * params.attr_bytes,
-                    Phase::Ship,
-                    cfg,
-                )
-                .await;
-                (site, outcome)
-            }) as BoxFut<'_, _>
-        })
-        .collect();
+/// A localized fan-out in flight: the merge accumulator plus per-site
+/// dispatch bookkeeping, shared by the dispatch tasks, the fold in
+/// [`execute_plan`], and whatever the hook's
+/// [`watch`](DispatchHook::watch) keeps.
+pub struct Fanout<'a, H> {
+    ctx: Ctx<'a>,
+    hook: Rc<H>,
+    config: LocalizedConfig,
+    hosting: Rc<[DbId]>,
+    state: Rc<RefCell<FanoutState>>,
+}
 
-    let mut merge = LocalizedMerge::new();
-    for (site, outcome) in join_all(evals).await {
+impl<H> Clone for Fanout<'_, H> {
+    fn clone(&self) -> Self {
+        Fanout {
+            ctx: self.ctx.clone(),
+            hook: Rc::clone(&self.hook),
+            config: self.config,
+            hosting: Rc::clone(&self.hosting),
+            state: Rc::clone(&self.state),
+        }
+    }
+}
+
+/// Dispatch bookkeeping of one hosting site.
+#[derive(Debug, Default)]
+struct SiteDispatch {
+    /// Dispatches whose RPC has not returned.
+    inflight: u32,
+    /// The site was redispatched (at most once).
+    redispatched: bool,
+    /// Virtual time the latest dispatch went out (µs).
+    sent_at: f64,
+}
+
+#[derive(Debug, Default)]
+struct FanoutState {
+    merge: LocalizedMerge,
+    sites: BTreeMap<DbId, SiteDispatch>,
+    /// Latencies of the dispatches that merged (µs).
+    completed_us: Vec<f64>,
+    /// Hosting sites not merged yet.
+    remaining: usize,
+    waker: Option<Waker>,
+    /// Set once the fold took the merge: late replies landing after this
+    /// are stale by definition and must not touch `merge` (it has been
+    /// replaced by an empty accumulator) or `remaining`.
+    finished: bool,
+}
+
+impl FanoutState {
+    /// One more site merged (answered or lost): wake the fold.
+    fn settle(&mut self) {
+        self.remaining -= 1;
+        if let Some(waker) = self.waker.take() {
+            waker.wake();
+        }
+    }
+}
+
+impl<'a, H: DispatchHook<'a>> Fanout<'a, H> {
+    /// Every hosting site, ascending.
+    pub fn hosting(&self) -> &[DbId] {
+        &self.hosting
+    }
+
+    /// The sites merged (answered or lost) so far, ascending.
+    pub fn merged_sites(&self) -> Vec<DbId> {
+        self.state.borrow().merge.merged_sites()
+    }
+
+    /// The straggling sites, each with how long its dispatch has been
+    /// out (µs), ascending by site: unmerged, never redispatched, and
+    /// out longer than `max(min_us, factor ×` the mean latency of the
+    /// dispatches merged so far`)` — none before the first merges.
+    /// `None` once every hosting site is merged.
+    pub fn stragglers(&self, factor: f64, min_us: f64) -> Option<Vec<(DbId, f64)>> {
+        let now = self.ctx.net.rt().now_us();
+        let state = self.state.borrow();
+        if state.remaining == 0 {
+            return None;
+        }
+        let merged = state.completed_us.len();
+        if merged == 0 {
+            return Some(Vec::new());
+        }
+        let mean = state.completed_us.iter().sum::<f64>() / merged as f64;
+        let threshold = (factor * mean).max(min_us);
+        let stragglers = state
+            .sites
+            .iter()
+            .filter(|(site, d)| !state.merge.is_merged(**site) && !d.redispatched && d.inflight > 0)
+            .map(|(site, d)| (*site, now - d.sent_at))
+            .filter(|&(_, elapsed)| elapsed > threshold)
+            .collect();
+        Some(stragglers)
+    }
+
+    /// Dispatches hosting site `site` once more, as `parallel` says
+    /// (generation 1). Refuses, returning `false`, a site that is merged
+    /// or was redispatched already.
+    pub fn redispatch(&self, site: DbId, parallel: bool) -> bool {
+        {
+            let mut state = self.state.borrow_mut();
+            if !self.hosting.contains(&site) || state.merge.is_merged(site) {
+                return false;
+            }
+            let dispatch = state.sites.entry(site).or_default();
+            if dispatch.redispatched {
+                return false;
+            }
+            dispatch.redispatched = true;
+        }
+        self.spawn_dispatch(site, parallel, 1);
+        true
+    }
+
+    fn spawn_dispatch(&self, site: DbId, parallel: bool, generation: u32) {
+        let rt = self.ctx.net.rt().clone();
+        rt.spawn(self.clone().dispatch(site, parallel, generation));
+    }
+
+    /// One `LocalEval` dispatch to `site`; folds whatever comes back.
+    async fn dispatch(self, site: DbId, parallel: bool, generation: u32) {
+        let permit = self.hook.admit().await;
+        let sent_at = self.ctx.net.rt().now_us();
+        {
+            let mut state = self.state.borrow_mut();
+            if self.hook.cancelled() || state.merge.is_merged(site) {
+                return;
+            }
+            let dispatch = state.sites.entry(site).or_default();
+            dispatch.inflight += 1;
+            dispatch.sent_at = sent_at;
+        }
+        self.hook.dispatched(site, parallel, generation);
+        let request = Request::LocalEval {
+            parallel,
+            use_signatures: self.config.use_signatures,
+            complete_targets: self.config.complete_targets,
+        };
+        let outcome = call_site(&self.ctx, site, request).await;
+        drop(permit);
+        let now = self.ctx.net.rt().now_us();
+        let mut state = self.state.borrow_mut();
+        let dispatch = state.sites.entry(site).or_default();
+        dispatch.inflight -= 1;
+        let attempts_left = dispatch.inflight;
+        if state.finished {
+            if matches!(outcome, Ok(Response::LocalEval(_))) {
+                self.hook.replied(site, true);
+            }
+            return;
+        }
         match outcome {
             Ok(Response::LocalEval(reply)) => {
-                merge.record_site(
+                let merged = state.merge.record_site(
                     site,
                     reply.rows,
                     reply.verdicts,
@@ -702,23 +938,26 @@ async fn orchestrate_localized(
                     reply.failed_checks,
                     reply.degraded_peers,
                 );
+                self.hook.replied(site, !merged);
+                if merged {
+                    state.completed_us.push(now - sent_at);
+                    state.settle();
+                }
             }
-            // The whole site is gone: no absence elimination against it,
-            // and every entity with a copy there is degraded.
+            // This attempt exhausted its retry budget. The site is lost
+            // only when no other attempt (a redispatch) is still in
+            // flight and nothing merged meanwhile; a loss whose site is
+            // gone stops absence elimination against it and degrades
+            // every entity with a copy there.
             _ => {
-                merge.record_site_loss(site);
+                if !self.hook.cancelled()
+                    && attempts_left == 0
+                    && state.merge.record_site_loss(site)
+                {
+                    self.hook.lost(site);
+                    state.settle();
+                }
             }
         }
-    }
-
-    let (answer, degraded_sites) = {
-        let mut sim = ctx.sim.borrow_mut();
-        merge.finish(ctx.fed, ctx.query, &mut sim)
-    };
-
-    CertifyReply {
-        answer: Ok(answer),
-        degraded_sites,
-        retries: ctx.net.retries(),
     }
 }

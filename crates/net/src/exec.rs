@@ -237,7 +237,7 @@ impl DistributedExecutor {
             rt.handle().spawn(run_site(ctx.clone(), db.id()));
         }
         let reply = rt
-            .run(async move { execute_plan(&ctx, &plan).await })
+            .run(async move { execute_plan(&ctx, &plan, ()).await })
             .map_err(|deadlock| ExecError::Internal(deadlock.to_string()))?;
         let (delivered, dropped) = transport.borrow().stats();
         Ok(DistributedOutcome {

@@ -12,9 +12,9 @@
 //!   retry backoff costs nothing in wall-clock terms;
 //! * wakers are plain task-id pushes onto a shared queue.
 //!
-//! The executor accepts non-`'static` futures: everything is dropped when
-//! [`Runtime::run`] returns, so actor futures may borrow the federation
-//! and query directly.
+//! The executor accepts non-`'static` futures: a [`Runtime`] drops every
+//! task it still holds when it is dropped, so actor futures may borrow
+//! the federation and query directly.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -188,61 +188,26 @@ impl<'a> Runtime<'a> {
     }
 
     /// Drives `main` (and every spawned task) to completion; returns
-    /// `main`'s output. Background tasks still pending when `main`
-    /// finishes are dropped.
+    /// `main`'s output, or [`Deadlock`] when every task is blocked and no
+    /// timer is pending. Whenever every task is blocked, virtual time
+    /// jumps to the earliest timer. Tasks still pending when `main`
+    /// finishes are dropped with the runtime.
     pub fn run<T: 'a>(&self, main: impl Future<Output = T> + 'a) -> Result<T, Deadlock> {
-        let out: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-        let out2 = Rc::clone(&out);
-        self.handle().spawn(async move {
-            let value = main.await;
-            *out2.borrow_mut() = Some(value);
-        });
-        loop {
-            // Move externally-woken tasks onto the ready queue.
-            {
-                let mut woken = self.woken.lock().expect("wake queue poisoned");
-                let mut inner = self.inner.borrow_mut();
-                for id in woken.drain(..) {
-                    if inner.tasks.contains_key(&id) && !inner.ready.contains(&id) {
-                        inner.ready.push_back(id);
-                    }
-                }
-            }
-            // Poll the ready queue FIFO.
-            let next = self.inner.borrow_mut().ready.pop_front();
-            if let Some(id) = next {
-                let Some(mut fut) = self.inner.borrow_mut().tasks.remove(&id) else {
-                    continue;
-                };
-                let waker = Waker::from(Arc::new(TaskWaker {
-                    id,
-                    queue: Arc::clone(&self.woken),
-                }));
-                let mut cx = Context::from_waker(&waker);
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {}
-                    Poll::Pending => {
-                        self.inner.borrow_mut().tasks.insert(id, fut);
-                    }
-                }
-                if let Some(value) = out.borrow_mut().take() {
-                    return Ok(value);
-                }
-                continue;
-            }
-            // Nothing ready: advance virtual time to the earliest timer.
-            let mut inner = self.inner.borrow_mut();
-            if !self.woken.lock().expect("wake queue poisoned").is_empty() {
-                continue; // a poll raced a wake; loop again
-            }
-            match inner.timers.pop() {
-                Some(Reverse(timer)) => {
-                    inner.now_us = inner.now_us.max(timer.at_us);
-                    timer.waker.wake();
-                }
-                None => return Err(Deadlock),
-            }
-        }
+        self.run_driven(main, |_, next| {
+            next.map_or(IdleStep::Halt, IdleStep::Advance)
+        })
+    }
+}
+
+impl Drop for Runtime<'_> {
+    fn drop(&mut self) {
+        // Parked tasks (every site actor's receive loop) hold handles to
+        // this runtime: clear the table or it keeps itself, and all that
+        // its tasks captured, alive. Dropped outside the borrow, since a
+        // task's destructor may use its handle.
+        let tasks = std::mem::take(&mut self.inner.borrow_mut().tasks);
+        let timers = std::mem::take(&mut self.inner.borrow_mut().timers);
+        drop((tasks, timers));
     }
 }
 

@@ -21,8 +21,8 @@
 //!   straggler monitor feeds observed dispatch latencies back into the
 //!   statistics catalog *during* execution and re-dispatches re-priced
 //!   unfinished sites, never re-doing or re-certifying completed work
-//!   (the [`fedoq_core::LocalizedMerge`] accumulator accepts one merge
-//!   per site, structurally).
+//!   (the orchestrator's [`fedoq_core::LocalizedMerge`] accumulator
+//!   accepts one merge per site, structurally).
 //! * **A deterministic simulation harness** ([`SchedSim`]) — the real
 //!   scheduler and real site actors over a seeded fault-injecting
 //!   transport with a recorded wire log; any failure reproduces from
@@ -30,7 +30,11 @@
 //!
 //! The answers are the paper's: certification, graceful degradation,
 //! and the CA/BL/PL/HY strategy surface are untouched — this crate only
-//! decides *when* each piece of work runs.
+//! decides *when* each piece of work runs. It sends no query traffic of
+//! its own: every admitted query runs through
+//! [`fedoq_net::actor::execute_plan`], the orchestrator every executor
+//! shares, and the scheduler's gate, cancellation, trace and straggler
+//! probe wrap its dispatches as a [`fedoq_net::actor::DispatchHook`].
 
 pub mod gate;
 pub mod sched;

@@ -304,3 +304,128 @@ pub fn mixed_specs(n: usize, seed: u64) -> Vec<QuerySpec> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedoq_core::PipelineConfig;
+    use fedoq_net::{DistributedExecutor, LocalTransport};
+    use fedoq_workload::{generate, university, WorkloadParams};
+    use rand::rngs::StdRng;
+
+    fn fresh_sim(fed: &Federation) -> Rc<RefCell<Simulation>> {
+        Rc::new(RefCell::new(Simulation::new(
+            SystemParams::paper_default(),
+            fed.num_dbs(),
+        )))
+    }
+
+    /// `LocalTransport` for `None`, else a healthy `SimTransport`.
+    fn transport(seed: Option<u64>, sim: &Rc<RefCell<Simulation>>) -> Rc<RefCell<dyn Transport>> {
+        match seed {
+            Some(seed) => Rc::new(RefCell::new(SimTransport::new(Rc::clone(sim), seed))),
+            None => Rc::new(RefCell::new(LocalTransport::new())),
+        }
+    }
+
+    fn spec(id: u64, sql: &str, arrival_us: f64, strategy: DistributedStrategy) -> QuerySpec {
+        QuerySpec {
+            id,
+            sql: sql.to_string(),
+            priority: 0,
+            deadline_us: None,
+            arrival_us,
+            strategy: SchedStrategy::Fixed(strategy),
+        }
+    }
+
+    #[test]
+    fn one_query_scheduler_run_matches_the_distributed_executor() {
+        let params = WorkloadParams::paper_default().scaled(0.01);
+        let sample = generate(&params.sample(&mut StdRng::seed_from_u64(3)), 3);
+        let university = university::federation().unwrap();
+        let feds = [
+            (&university, university::Q1.to_string()),
+            (&sample.federation, sample.query.to_string()),
+        ];
+        let scheduler = Scheduler::new(SchedConfig {
+            drain_us: 0.0,
+            ..SchedConfig::default()
+        });
+        for (fed, sql) in feds {
+            let query = fed.parse_and_bind(&sql).unwrap();
+            for name in ["ca", "bl", "pl", "bl-s", "pl-s"] {
+                let strategy = DistributedStrategy::parse(name).unwrap();
+                for seed in [None, Some(42)] {
+                    let label = format!("{name} over {seed:?}: {sql}");
+                    let sim = fresh_sim(fed);
+                    let direct = DistributedExecutor::new()
+                        .run(fed, &query, strategy, transport(seed, &sim), sim)
+                        .unwrap();
+                    let sim = fresh_sim(fed);
+                    let specs = [spec(0, &sql, 0.0, strategy)];
+                    let scheduled = scheduler
+                        .run(fed, &specs, transport(seed, &sim), Rc::clone(&sim))
+                        .unwrap();
+                    let outcome = &scheduled.queries[0];
+                    assert_eq!(outcome.verdict.answer(), Some(&direct.answer), "{label}");
+                    assert_eq!(sim.borrow().metrics(), direct.metrics, "{label}");
+                    let took_us = outcome.finished_us - outcome.started_us;
+                    assert_eq!(took_us, direct.virtual_us, "{label}");
+                    assert_eq!(scheduled.retries, direct.retries, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_ca_query_ships_only_cold_extents() {
+        let fed = university::federation().unwrap();
+        let config = SchedConfig {
+            pipeline: PipelineConfig::default().with_cache(),
+            ..SchedConfig::default()
+        };
+        let ca = DistributedStrategy::ca();
+        let specs = [
+            spec(0, university::Q1, 0.0, ca),
+            spec(1, university::Q1, 1_000_000.0, ca),
+        ];
+        let run = SchedSim::new(7)
+            .with_config(config)
+            .run(&fed, &specs)
+            .unwrap();
+        let [first, second] = &run.outcome.queries[..] else {
+            panic!("two outcomes expected");
+        };
+        assert!(first.finished_us < second.submitted_us);
+        assert!(first.verdict.answer().is_some());
+        assert_eq!(first.verdict.answer(), second.verdict.answer());
+        let ships = run
+            .wire
+            .iter()
+            .filter(|e| e.kind == "ShipObjects" && !e.is_response)
+            .count();
+        assert_eq!(ships, 3, "the second run must find every extent cached");
+    }
+
+    #[test]
+    fn runs_release_their_simulation_and_transport() {
+        let fed = university::federation().unwrap();
+        let query = fed.parse_and_bind(university::Q1).unwrap();
+        let bl = DistributedStrategy::bl();
+        let sim = fresh_sim(&fed);
+        let transport = transport(None, &sim);
+        DistributedExecutor::new()
+            .run(&fed, &query, bl, Rc::clone(&transport), Rc::clone(&sim))
+            .unwrap();
+        assert_eq!(Rc::strong_count(&sim), 1);
+        assert_eq!(Rc::strong_count(&transport), 1);
+
+        let specs = [spec(0, university::Q1, 0.0, bl)];
+        Scheduler::default()
+            .run(&fed, &specs, Rc::clone(&transport), Rc::clone(&sim))
+            .unwrap();
+        assert_eq!(Rc::strong_count(&sim), 1);
+        assert_eq!(Rc::strong_count(&transport), 1);
+    }
+}

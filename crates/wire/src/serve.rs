@@ -413,7 +413,7 @@ fn execute(
     let start = Instant::now();
     let reply = rt
         .run_driven(
-            async move { execute_plan(&ctx, &plan).await },
+            async move { execute_plan(&ctx, &plan, ()).await },
             wall_driver(hub.clone(), start, move |inbound| {
                 if let Frame::Envelope { env, .. } = inbound.frame {
                     net.inject(env);
